@@ -44,7 +44,6 @@ use register_common::pad::CachePadded;
 use register_common::traits::{
     validate_spec, BuildError, ReadHandle, RegisterFamily, RegisterSpec, WriteHandle,
 };
-#[cfg(feature = "metrics")]
 use register_common::{metrics::MetricsSnapshot, OpMetrics};
 
 /// Maximum readers RF admits: 64 word bits − 6 index bits.
@@ -84,9 +83,8 @@ pub struct RfRegister {
     trace: Box<[AtomicU8]>,
     /// Writer-handle claim flag.
     writer_claimed: AtomicU64,
-    /// Operation counters for experiment E5.
-    #[cfg(feature = "metrics")]
-    pub metrics: OpMetrics,
+    /// Totals folded in by dropped handles (experiment E5).
+    metrics: OpMetrics,
 }
 
 impl RfRegister {
@@ -123,7 +121,6 @@ impl RfRegister {
             // buffer 0 (they start there before their first fetch_or).
             trace: (0..max_readers).map(|_| AtomicU8::new(0)).collect(),
             writer_claimed: AtomicU64::new(0),
-            #[cfg(feature = "metrics")]
             metrics: OpMetrics::new(),
         }))
     }
@@ -136,13 +133,14 @@ impl RfRegister {
         Some(RfWriter {
             reg: Arc::clone(self),
             last_written: (self.word.load(Ordering::SeqCst) >> INDEX_SHIFT) as usize,
+            writes: CachePadded::default(),
         })
     }
 
     /// Register a reader (≤ `max_readers` live at once).
     pub fn reader(self: &Arc<Self>) -> Option<RfReader> {
         let id = self.free_ids.lock().expect("id allocator poisoned").pop()?;
-        Some(RfReader { reg: Arc::clone(self), id })
+        Some(RfReader { reg: Arc::clone(self), id, reads: CachePadded::default() })
     }
 
     /// Payload capacity in bytes.
@@ -160,8 +158,8 @@ impl RfRegister {
         self.buffers.len()
     }
 
-    /// Operation metrics (E5), with the `metrics` feature.
-    #[cfg(feature = "metrics")]
+    /// Operation metrics (E5) of every handle dropped so far: each RF
+    /// read and write is exactly one RMW.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.metrics.snapshot()
     }
@@ -195,6 +193,8 @@ impl fmt::Debug for RfRegister {
 pub struct RfWriter {
     reg: Arc<RfRegister>,
     last_written: usize,
+    /// Writes by this handle (own cache line), folded into `metrics` on drop.
+    writes: CachePadded<u64>,
 }
 
 impl RfWriter {
@@ -210,8 +210,7 @@ impl RfWriter {
             value.len(),
             self.reg.capacity
         );
-        #[cfg(feature = "metrics")]
-        OpMetrics::bump(&self.reg.metrics.writes, 1);
+        *self.writes += 1;
 
         // Select a buffer that is neither current nor traced (always exists:
         // ≤ N traced + 1 current among N + 2 buffers).
@@ -234,8 +233,6 @@ impl RfWriter {
         // Publish: new index, cleared mask. SeqCst swap = release for the
         // payload stores, acquire for the mask we fold into the traces.
         let old = self.reg.word.swap((target as u64) << INDEX_SHIFT, Ordering::SeqCst);
-        #[cfg(feature = "metrics")]
-        OpMetrics::bump(&self.reg.metrics.write_rmws, 1);
 
         let old_index = (old >> INDEX_SHIFT) as u8;
         let mut mask = old & MASK_BITS;
@@ -261,6 +258,8 @@ impl fmt::Debug for RfWriter {
 
 impl Drop for RfWriter {
     fn drop(&mut self) {
+        let n = *self.writes;
+        self.reg.metrics.fold(&MetricsSnapshot { writes: n, write_rmws: n, ..Default::default() });
         self.reg.writer_claimed.store(0, Ordering::SeqCst);
     }
 }
@@ -269,6 +268,8 @@ impl Drop for RfWriter {
 pub struct RfReader {
     reg: Arc<RfRegister>,
     id: u8,
+    /// Reads by this handle (own cache line), folded into `metrics` on drop.
+    reads: CachePadded<u64>,
 }
 
 impl RfReader {
@@ -279,11 +280,7 @@ impl RfReader {
     /// pins it), mirroring ARC's guard semantics.
     #[inline]
     pub fn read(&mut self) -> &[u8] {
-        #[cfg(feature = "metrics")]
-        {
-            OpMetrics::bump(&self.reg.metrics.reads, 1);
-            OpMetrics::bump(&self.reg.metrics.read_rmws, 1);
-        }
+        *self.reads += 1;
         let raw = self.reg.word.fetch_or(1u64 << self.id, Ordering::SeqCst);
         let index = (raw >> INDEX_SHIFT) as usize;
         // SAFETY: our bit is set on the word naming `index`: either the
@@ -308,6 +305,8 @@ impl fmt::Debug for RfReader {
 
 impl Drop for RfReader {
     fn drop(&mut self) {
+        let n = *self.reads;
+        self.reg.metrics.fold(&MetricsSnapshot { reads: n, read_rmws: n, ..Default::default() });
         // Return the id. The writer's trace keeps conservatively pinning the
         // last buffer this id was seen on until a new holder's fetch_or
         // refreshes it — safe either way.

@@ -11,9 +11,9 @@
 //! avoided, and the inline variant's throughput advantage is the
 //! cache-line budget made visible.
 //!
-//! With the `metrics` feature enabled the probe also reports the measured
-//! fast-path hit rate (it is ~1 by construction: nothing writes during the
-//! read loop, so only each handle's first read pays an RMW).
+//! The probe also reports the measured fast-path hit rate (it is ~1 by
+//! construction: nothing writes during the read loop, so only each
+//! handle's first read pays an RMW).
 
 use std::time::Instant;
 
@@ -33,9 +33,8 @@ pub struct InlineCmp {
     pub inline_mops: f64,
     /// Reads per second, arena placement, in Mops/s (best of runs).
     pub arena_mops: f64,
-    /// Fraction of reads served by the R2 no-RMW fast path (None without
-    /// the `metrics` feature).
-    pub fast_path_hit_rate: Option<f64>,
+    /// Fraction of reads served by the R2 no-RMW fast path.
+    pub fast_path_hit_rate: f64,
 }
 
 impl InlineCmp {
@@ -54,7 +53,7 @@ impl InlineCmp {
         j.set("inline_mops", Json::num(self.inline_mops));
         j.set("arena_mops", Json::num(self.arena_mops));
         j.set("speedup", Json::num(self.speedup()));
-        j.set("fast_path_hit_rate", self.fast_path_hit_rate.map_or(Json::Null, Json::num));
+        j.set("fast_path_hit_rate", Json::num(self.fast_path_hit_rate));
         j
     }
 }
@@ -109,9 +108,8 @@ fn measure(size: usize, registers: usize, inline: bool, reads: u64, runs: usize)
     best
 }
 
-/// Fast-path hit rate over the measured handles (metrics builds only).
-#[cfg(feature = "metrics")]
-fn hit_rate(size: usize, registers: usize, reads: u64) -> Option<f64> {
+/// Fast-path hit rate over the measured handles.
+fn hit_rate(size: usize, registers: usize, reads: u64) -> f64 {
     let value: Vec<u8> = (0..size).map(|i| i as u8).collect();
     let regs: Vec<_> = (0..registers.min(64))
         .map(|_| ArcRegister::builder(1, size).initial(&value).build().unwrap())
@@ -123,18 +121,14 @@ fn hit_rate(size: usize, registers: usize, reads: u64) -> Option<f64> {
             std::hint::black_box(r.read().len());
         }
     }
+    drop(readers); // handles fold their counts on drop
     let (mut fast, mut total) = (0u64, 0u64);
     for reg in &regs {
         let m = reg.metrics();
         fast += m.fast_reads;
         total += m.reads;
     }
-    (total > 0).then(|| fast as f64 / total as f64)
-}
-
-#[cfg(not(feature = "metrics"))]
-fn hit_rate(_size: usize, _registers: usize, _reads: u64) -> Option<f64> {
-    None
+    fast as f64 / total as f64
 }
 
 /// Run the inline-vs-arena probe at the boundary size ([`INLINE_CAP`]).
@@ -170,8 +164,9 @@ mod tests {
             registers: 16,
             inline_mops: measure(48, 16, true, 50_000, 1),
             arena_mops: measure(48, 16, false, 50_000, 1),
-            fast_path_hit_rate: None,
+            fast_path_hit_rate: hit_rate(48, 16, 1_000),
         };
+        assert!(cmp.fast_path_hit_rate > 0.9, "only first reads pay an RMW");
         assert!(cmp.inline_mops > 0.0);
         assert!(cmp.arena_mops > 0.0);
         let j = cmp.to_json();

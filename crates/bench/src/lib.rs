@@ -19,12 +19,12 @@
 //! | `fig2` | + CPU-steal injection ("virtualized")   | Figure 2 (a–c) |
 //! | `fig3` | 1000–4000 threads, log scale            | Figure 3 (a–c) |
 //! | `payload` | processing workload                  | §5 second experiment set |
-//! | `rmw_counts` | RMW instructions per op (needs `--features metrics`) | §5 RMW-avoidance claim |
+//! | `rmw_counts` | RMW instructions per op | §5 RMW-avoidance claim |
 //! | `ablation` | fast-path / hint / slot-count ablations | §3.4, E6 |
 //! | `microbench` | per-op latencies + contended point (ex-Criterion) | E7 |
 //! | `group_scaling` | slab group vs independent registers at 10k–1M | E10 (extension) |
 //! | `notify_latency` | watch-layer wake latency + coalescing | E11 (extension, §3.7) |
-//! | `zero_copy` | guard vs copying reads at fig1 sizes; metrics-toggle ablation | E12 (extension, §3.8) |
+//! | `zero_copy` | guard vs copying reads at fig1 sizes | E12 (extension, §3.8) |
 //!
 //! The committed `BENCH_*.json` files are schema-checked by
 //! `tests/json_schema.rs`, so a bench refactor cannot silently drop a
@@ -43,4 +43,4 @@ pub use inline_cmp::{compare as inline_vs_arena, InlineCmp};
 pub use json::{merge_section, Json};
 pub use profile::{json_dir, out_dir, BenchProfile};
 pub use sweep::{figure_sizes, sweep_algos, thread_counts, SweepSpec};
-pub use zero_copy::{metrics_ablation, run as zero_copy_run, ZeroCopyPoint};
+pub use zero_copy::{run as zero_copy_run, ZeroCopyPoint};

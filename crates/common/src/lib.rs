@@ -15,8 +15,8 @@
 //! * [`clock`] — a global logical clock used to timestamp operation
 //!   invocations/responses when recording histories.
 //! * [`pad`] — cache-line padding re-exports.
-//! * [`metrics`] — cheap relaxed operation counters used by the RMW-count
-//!   experiment (E5 in DESIGN.md).
+//! * [`metrics`] — always-on operation counters, tallied per handle and
+//!   folded on drop, used by the RMW-count experiment (E5 in DESIGN.md).
 //! * [`copy`] — the single tuned payload-copy routine behind every
 //!   copying read (the zero-copy guards of DESIGN.md §3.8 made copying a
 //!   convenience layer; this is that layer's one implementation).

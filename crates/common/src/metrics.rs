@@ -6,11 +6,20 @@
 //! `rmw_counts` bench regenerates that claim by counting, per operation
 //! class, how many RMW instructions each algorithm actually issued.
 //!
-//! Counters are `Relaxed` and only incremented when the owning crate is
-//! compiled with its `metrics` feature, so the figure benches (which do not
-//! enable the feature) measure the undisturbed algorithms.
+//! Counting is always on and costs no shared-memory traffic: every handle
+//! tallies its own operations in a plain [`MetricsSnapshot`] and folds it
+//! into its instance's [`OpMetrics`] once, when the handle drops (one
+//! `Relaxed` `fetch_add` per counter). An instance's totals are therefore
+//! exact once its handles are gone — e.g. after the threads that owned
+//! them were joined — and exclude handles that are still live.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+
+use crate::pad::CachePadded;
+
+/// A handle's local tally, on cache lines of its own: handles driven by
+/// different threads never false-share, however they are laid out.
+pub type Tally = CachePadded<MetricsSnapshot>;
 
 /// Relaxed counters describing the work performed by a register instance.
 #[derive(Debug, Default)]
@@ -34,9 +43,7 @@ pub struct OpMetrics {
     pub ring_hits: AtomicU64,
     /// Zero-copy guard reads started (`read_ref` acquisitions).
     pub guard_reads: AtomicU64,
-    /// Zero-copy guards dropped. `guard_reads - guard_drops` is the number
-    /// of guards currently held — each a standing presence unit pinning
-    /// one slot against reclamation (DESIGN.md §3.8 slot-budget math).
+    /// Zero-copy guards dropped.
     pub guard_drops: AtomicU64,
 }
 
@@ -58,9 +65,23 @@ impl OpMetrics {
     }
 
     /// Add `n` to a counter. `Relaxed`: metrics never synchronize data.
-    #[inline]
-    pub fn bump(counter: &AtomicU64, n: u64) {
+    fn bump(counter: &AtomicU64, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Fold a dropping handle's local tally into these totals (a tally's
+    /// `reads` excludes its `fast_reads`; see [`MetricsSnapshot`]).
+    pub fn fold(&self, t: &MetricsSnapshot) {
+        Self::bump(&self.reads, t.reads + t.fast_reads);
+        Self::bump(&self.fast_reads, t.fast_reads);
+        Self::bump(&self.read_rmws, t.read_rmws);
+        Self::bump(&self.writes, t.writes);
+        Self::bump(&self.write_rmws, t.write_rmws);
+        Self::bump(&self.slot_probes, t.slot_probes);
+        Self::bump(&self.hint_hits, t.hint_hits);
+        Self::bump(&self.ring_hits, t.ring_hits);
+        Self::bump(&self.guard_reads, t.guard_reads);
+        Self::bump(&self.guard_drops, t.guard_drops);
     }
 
     /// Snapshot all counters (relaxed loads; exact once threads are joined).
@@ -80,7 +101,10 @@ impl OpMetrics {
     }
 }
 
-/// A point-in-time copy of [`OpMetrics`].
+/// A point-in-time copy of [`OpMetrics`] — and, in a live handle, the
+/// plain local tally that handle folds into its instance when it drops.
+/// In a tally, `reads` counts only the reads that left the R2 fast path,
+/// so a fast read costs one add; [`OpMetrics::fold`] adds `fast_reads`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MetricsSnapshot {
     /// Total read operations.
@@ -108,54 +132,37 @@ pub struct MetricsSnapshot {
 impl MetricsSnapshot {
     /// Average RMW instructions per read operation.
     pub fn rmws_per_read(&self) -> f64 {
-        if self.reads == 0 {
-            0.0
-        } else {
-            self.read_rmws as f64 / self.reads as f64
-        }
+        ratio(self.read_rmws, self.reads)
     }
 
     /// Average RMW instructions per write operation.
     pub fn rmws_per_write(&self) -> f64 {
-        if self.writes == 0 {
-            0.0
-        } else {
-            self.write_rmws as f64 / self.writes as f64
-        }
+        ratio(self.write_rmws, self.writes)
     }
 
     /// Average free-slot probes per write (E6: amortized O(1) claim).
     pub fn probes_per_write(&self) -> f64 {
-        if self.writes == 0 {
-            0.0
-        } else {
-            self.slot_probes as f64 / self.writes as f64
-        }
+        ratio(self.slot_probes, self.writes)
     }
 
     /// Fraction of writes whose free slot came from the writer-local ring
     /// (no fallback scan needed).
     pub fn ring_hit_fraction(&self) -> f64 {
-        if self.writes == 0 {
-            0.0
-        } else {
-            self.ring_hits as f64 / self.writes as f64
-        }
-    }
-
-    /// Guards currently held (each pinning one slot against reclamation).
-    /// Exact once threads are quiescent; a racy lower/upper mix otherwise.
-    pub fn guards_held(&self) -> u64 {
-        self.guard_reads.saturating_sub(self.guard_drops)
+        ratio(self.ring_hits, self.writes)
     }
 
     /// Fraction of reads that took the no-RMW fast path.
     pub fn fast_read_fraction(&self) -> f64 {
-        if self.reads == 0 {
-            0.0
-        } else {
-            self.fast_reads as f64 / self.reads as f64
-        }
+        ratio(self.fast_reads, self.reads)
+    }
+}
+
+/// `n / d`, or 0 when nothing was counted.
+fn ratio(n: u64, d: u64) -> f64 {
+    if d == 0 {
+        0.0
+    } else {
+        n as f64 / d as f64
     }
 }
 
@@ -164,16 +171,30 @@ mod tests {
     use super::*;
 
     #[test]
-    fn bump_and_snapshot() {
+    fn tallies_fold_into_exact_totals() {
+        // 7 fast reads and 3 slow ones paying 4 RMWs (a tally's `reads`
+        // excludes its fast reads), plus 4 writes; folded twice.
+        let t = MetricsSnapshot {
+            reads: 3,
+            fast_reads: 7,
+            read_rmws: 4,
+            writes: 4,
+            write_rmws: 8,
+            slot_probes: 6,
+            ring_hits: 2,
+            ..Default::default()
+        };
         let m = OpMetrics::new();
-        OpMetrics::bump(&m.reads, 10);
-        OpMetrics::bump(&m.fast_reads, 7);
-        OpMetrics::bump(&m.read_rmws, 6);
+        m.fold(&t);
+        m.fold(&t);
         let s = m.snapshot();
-        assert_eq!(s.reads, 10);
-        assert_eq!(s.fast_reads, 7);
-        assert!((s.rmws_per_read() - 0.6).abs() < 1e-12);
+        assert_eq!((s.reads, s.fast_reads, s.read_rmws, s.writes), (20, 14, 8, 8));
+        assert!((s.rmws_per_read() - 0.4).abs() < 1e-12);
         assert!((s.fast_read_fraction() - 0.7).abs() < 1e-12);
+        assert_eq!(
+            (s.rmws_per_write(), s.probes_per_write(), s.ring_hit_fraction()),
+            (2.0, 1.5, 0.5)
+        );
     }
 
     #[test]
@@ -183,30 +204,5 @@ mod tests {
         assert_eq!(s.rmws_per_write(), 0.0);
         assert_eq!(s.probes_per_write(), 0.0);
         assert_eq!(s.fast_read_fraction(), 0.0);
-    }
-
-    #[test]
-    fn guards_held_is_reads_minus_drops() {
-        let m = OpMetrics::new();
-        OpMetrics::bump(&m.guard_reads, 5);
-        OpMetrics::bump(&m.guard_drops, 3);
-        assert_eq!(m.snapshot().guards_held(), 2);
-        OpMetrics::bump(&m.guard_drops, 2);
-        assert_eq!(m.snapshot().guards_held(), 0);
-    }
-
-    #[test]
-    fn write_ratios() {
-        let m = OpMetrics::new();
-        OpMetrics::bump(&m.writes, 4);
-        OpMetrics::bump(&m.write_rmws, 8);
-        OpMetrics::bump(&m.slot_probes, 6);
-        OpMetrics::bump(&m.hint_hits, 3);
-        OpMetrics::bump(&m.ring_hits, 2);
-        let s = m.snapshot();
-        assert_eq!(s.rmws_per_write(), 2.0);
-        assert_eq!(s.probes_per_write(), 1.5);
-        assert_eq!(s.hint_hits, 3);
-        assert_eq!(s.ring_hit_fraction(), 0.5);
     }
 }

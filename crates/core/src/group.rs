@@ -87,11 +87,8 @@ use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-#[cfg(feature = "metrics")]
-use register_common::metrics::MetricsSnapshot;
+use register_common::metrics::{MetricsSnapshot, OpMetrics, Tally};
 use register_common::traits::{validate_spec, BuildError, RegisterSpec};
-#[cfg(feature = "metrics")]
-use register_common::OpMetrics;
 use sync_primitives::WaitSet;
 
 use register_common::errors::ConfigError;
@@ -99,10 +96,10 @@ use register_common::errors::ConfigError;
 use crate::current::{index_of, Current, MAX_READERS};
 use crate::errors::{HandleError, WriteError};
 use crate::raw::{
-    guard_created_on, guard_drop_on, outstanding_units_on, quarantine_on, read_acquire_on,
-    reader_join_on, reader_leave_on, wip_slot, wip_stage, writer_claim_on, writer_release_on,
-    ArcCells, ArcWriterMem, PublishGuard, RawOptions, RawReader, HEALTH_BAD_CURRENT,
-    HEALTH_BAD_JOURNAL, HEALTH_BAD_LEN, HEALTH_OK, NO_HINT, STAGE_IDLE, STAGE_PUB_RAW,
+    guard_drop_on, outstanding_units_on, quarantine_on, read_acquire_on, reader_join_on,
+    reader_leave_on, wip_slot, wip_stage, writer_claim_on, writer_release_on, ArcCells,
+    ArcWriterMem, PublishGuard, RawOptions, RawReader, HEALTH_BAD_CURRENT, HEALTH_BAD_JOURNAL,
+    HEALTH_BAD_LEN, HEALTH_OK, NO_HINT, STAGE_IDLE, STAGE_PUB_RAW,
 };
 use crate::recovery::{self, RecoveryReport};
 use crate::register::{GuardBackend, ReadGuard, Snapshot, INLINE_CAP};
@@ -469,16 +466,11 @@ impl ArcCells for GroupCells<'_> {
     }
     #[inline]
     fn max_readers(&self) -> u32 {
-        self.g.max_readers
+        self.g.max_readers()
     }
     #[inline]
     fn opts(&self) -> RawOptions {
-        self.g.opts
-    }
-    #[cfg(feature = "metrics")]
-    #[inline]
-    fn metrics(&self) -> &OpMetrics {
-        &self.g.metrics
+        self.g.opts()
     }
 }
 
@@ -496,6 +488,10 @@ struct PackedWriterMem {
     /// Candidate slots (`NO_CAND` = empty); bit 31 tags hint origin.
     cand: [u32; 2],
 }
+
+// Writer sets hold one per register (2^20 in the `table_zipf` workload):
+// counters live in the set, never here.
+const _: () = assert!(std::mem::size_of::<PackedWriterMem>() == 16);
 
 /// How long a [`ArcGroup::recover`] call that lost the cross-process
 /// arbitration waits for the winning claimant to release the token before
@@ -662,14 +658,6 @@ impl GroupBuilder {
         self
     }
 
-    /// Enable/disable the per-op metric counters at runtime (default on;
-    /// see [`crate::ArcBuilder::metrics`] — only observable in builds with
-    /// the `metrics` cargo feature).
-    pub fn metrics(mut self, on: bool) -> Self {
-        self.opts.metrics = on;
-        self
-    }
-
     /// Build the group (one slab allocation regardless of K).
     pub fn build(self) -> Result<Arc<ArcGroup>, BuildError> {
         if self.registers == 0 {
@@ -705,8 +693,8 @@ impl GroupBuilder {
             flags,
         };
         let layout = SlabLayout::compute(geometry)?;
-        let slab = match self.backend {
-            SlabBackend::Heap => Slab::heap(layout.total)?,
+        let (slab, placement) = match self.backend {
+            SlabBackend::Heap => (Slab::heap(layout.total)?, PlacementInfo::heap()),
             #[cfg(target_os = "linux")]
             SlabBackend::Shm => Slab::shm(layout.total, self.placement)?,
             #[cfg(not(target_os = "linux"))]
@@ -727,20 +715,7 @@ impl GroupBuilder {
             // which nothing else references yet.
             unsafe { hdr.add(k).write(RegHeader::new()) };
         }
-        let group = ArcGroup {
-            slab,
-            layout,
-            watch: WaitSet::new(),
-            registers: self.registers,
-            n_slots,
-            capacity: self.capacity,
-            max_readers: self.max_readers,
-            opts: self.opts,
-            inline: self.inline,
-            backend: self.backend,
-            #[cfg(feature = "metrics")]
-            metrics: OpMetrics::new(),
-        };
+        let group = ArcGroup { slab, layout, watch: WaitSet::new(), metrics: OpMetrics::new() };
         // Algorithm 1 per register: the initial value goes to slot 0,
         // which every header already publishes. No handle exists yet, so
         // plain writes are race-free; the Arc construction publishes them.
@@ -756,7 +731,7 @@ impl GroupBuilder {
         }
         // Stamp the superblock last: the Release store of the magic
         // publishes a fully initialized slab to any attacher.
-        group.slab.superblock().initialize(&group.layout, group.slab.placement());
+        group.slab.superblock().initialize(&group.layout, placement);
         Ok(Arc::new(group))
     }
 }
@@ -780,18 +755,8 @@ pub struct ArcGroup {
     /// Process-local (a slab attacher gets its own): cross-process
     /// consumers poll [`ArcGroup::poll_changed`] / the version words.
     watch: WaitSet,
-    // Geometry copies (also recorded in the superblock): plain fields so
-    // the hot paths don't chase through `layout.geometry`.
-    registers: usize,
-    n_slots: usize,
-    capacity: usize,
-    max_readers: u32,
-    opts: RawOptions,
-    inline: bool,
-    backend: SlabBackend,
-    /// Group-wide operation counters (E5/E6), `metrics` feature only.
+    /// Group-wide totals folded in by dropped handles (E5/E6).
     /// Process-local, like `watch`.
-    #[cfg(feature = "metrics")]
     metrics: OpMetrics,
 }
 
@@ -803,33 +768,40 @@ impl ArcGroup {
 
     /// Number of registers in the group.
     pub fn registers(&self) -> usize {
-        self.registers
+        self.layout.geometry.registers
     }
 
     /// Slots per register (normally `max_readers + 2`).
     pub fn n_slots(&self) -> usize {
-        self.n_slots
+        self.layout.geometry.n_slots
     }
 
     /// Maximum payload size in bytes per register.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.layout.geometry.capacity
     }
 
     /// Configured per-register reader cap `N`.
     pub fn max_readers(&self) -> u32 {
-        self.max_readers
+        self.layout.geometry.max_readers
     }
 
     /// Whether payloads of at most [`INLINE_CAP`] bytes live in the slot
     /// line (default true; see [`GroupBuilder::inline`]).
     pub fn inline_enabled(&self) -> bool {
-        self.inline
+        self.layout.geometry.flags & FLAG_INLINE != 0
     }
 
     /// The storage backend this group's slab lives on.
     pub fn backend(&self) -> SlabBackend {
-        self.backend
+        self.slab.backend()
+    }
+
+    /// The protocol switches recorded in the slab's flags.
+    #[inline]
+    fn opts(&self) -> RawOptions {
+        let flags = self.layout.geometry.flags;
+        RawOptions { hint: flags & FLAG_HINT != 0, fast_path: flags & FLAG_FAST_PATH != 0 }
     }
 
     /// The slab's *effective* placement (§3.11): page rounding quantum,
@@ -871,26 +843,7 @@ impl ArcGroup {
     pub fn attach_fd(fd: std::os::fd::BorrowedFd<'_>) -> Result<Arc<Self>, SlabError> {
         let slab = Slab::attach(fd)?;
         let layout = slab.superblock().validate(slab.len())?;
-        let g = layout.geometry;
-        let opts = RawOptions {
-            hint: g.flags & FLAG_HINT != 0,
-            fast_path: g.flags & FLAG_FAST_PATH != 0,
-            metrics: true,
-        };
-        Ok(Arc::new(ArcGroup {
-            slab,
-            layout,
-            watch: WaitSet::new(),
-            registers: g.registers,
-            n_slots: g.n_slots,
-            capacity: g.capacity,
-            max_readers: g.max_readers,
-            opts,
-            inline: g.flags & FLAG_INLINE != 0,
-            backend: SlabBackend::Shm,
-            #[cfg(feature = "metrics")]
-            metrics: OpMetrics::new(),
-        }))
+        Ok(Arc::new(ArcGroup { slab, layout, watch: WaitSet::new(), metrics: OpMetrics::new() }))
     }
 
     /// Whether any register holds state only recovery may clear: a writer
@@ -906,7 +859,7 @@ impl ArcGroup {
     /// [`ArcGroup::needs_recovery`] with a custom liveness oracle
     /// (supervisors that track membership themselves; tests).
     pub fn needs_recovery_with(&self, mut alive: impl FnMut(u64) -> bool) -> bool {
-        (0..self.registers).any(|k| recovery::register_needs_recovery(&self.cells(k), &mut alive))
+        (0..self.registers()).any(|k| recovery::register_needs_recovery(&self.cells(k), &mut alive))
     }
 
     /// Alias for [`ArcGroup::needs_recovery`]: the plane is poisoned by a
@@ -961,7 +914,7 @@ impl ArcGroup {
     /// (lease/journal) recovery works on every layout.
     pub fn recover_with(&self, mut alive: impl FnMut(u64) -> bool) -> RecoveryReport {
         let mut report = RecoveryReport::default();
-        for k in 0..self.registers {
+        for k in 0..self.registers() {
             recovery::recover_register(&self.cells(k), &mut alive, &mut report);
         }
         if report.repaired_anything() {
@@ -988,8 +941,8 @@ impl ArcGroup {
 
     /// Survey the whole plane's register health (§3.10).
     pub fn health_report(&self) -> HealthReport {
-        let mut report = HealthReport { registers: self.registers, quarantined: Vec::new() };
-        for k in 0..self.registers {
+        let mut report = HealthReport { registers: self.registers(), quarantined: Vec::new() };
+        for k in 0..self.registers() {
             if let RegisterHealth::Quarantined { reason, last_good_version } =
                 self.register_health(k)
             {
@@ -1019,7 +972,7 @@ impl ArcGroup {
         let superblock_ok = self.slab.superblock().validate(self.slab.len()).is_ok();
         let mut newly = 0;
         let mut total = 0;
-        for k in 0..self.registers {
+        for k in 0..self.registers() {
             let cells = self.cells(k);
             let before = cells.health_word().load(Ordering::Acquire);
             if before == HEALTH_OK {
@@ -1034,7 +987,7 @@ impl ArcGroup {
             }
         }
         ScrubReport {
-            registers_scrubbed: self.registers,
+            registers_scrubbed: self.registers(),
             newly_quarantined: newly,
             quarantined_total: total,
             superblock_ok,
@@ -1045,7 +998,7 @@ impl ArcGroup {
     fn scrub_register(&self, cells: &GroupCells<'_>) {
         // `current` must name an in-range slot.
         let cur = cells.current_word().load(Ordering::SeqCst);
-        if index_of(cur) as usize >= self.n_slots {
+        if index_of(cur) as usize >= self.n_slots() {
             quarantine_on(cells, HEALTH_BAD_CURRENT);
             return;
         }
@@ -1053,7 +1006,7 @@ impl ArcGroup {
         // an in-range slot.
         let w = cells.wip_word().load(Ordering::Acquire);
         let stage = wip_stage(w);
-        if stage > STAGE_PUB_RAW || (stage != STAGE_IDLE && wip_slot(w) >= self.n_slots) {
+        if stage > STAGE_PUB_RAW || (stage != STAGE_IDLE && wip_slot(w) >= self.n_slots()) {
             quarantine_on(cells, HEALTH_BAD_JOURNAL);
             return;
         }
@@ -1061,13 +1014,13 @@ impl ArcGroup {
         // length word is protocol-protected plain memory; the scrub reads
         // it through an atomic view (same size and alignment) so a racing
         // writer's store merely yields either value, never a tear.
-        for slot in 0..self.n_slots {
+        for slot in 0..self.n_slots() {
             // SAFETY: AtomicUsize is layout-compatible with usize and the
             // cell lives in the always-mapped slot region; the atomic view
             // only loads.
             let len = unsafe { &*(cells.slot(slot).len.get() as *const AtomicUsize) }
                 .load(Ordering::Relaxed);
-            if len > self.capacity {
+            if len > self.capacity() {
                 quarantine_on(cells, HEALTH_BAD_LEN);
                 return;
             }
@@ -1127,7 +1080,7 @@ impl ArcGroup {
     #[doc(hidden)]
     pub fn fault_scribble_len(&self, k: usize, slot: usize, len: usize) {
         self.check_index(k);
-        assert!(slot < self.n_slots, "slot out of range");
+        assert!(slot < self.n_slots(), "slot out of range");
         let cells = self.cells(k);
         // SAFETY: same atomic view as the scrubber's read — size- and
         // alignment-compatible, store-only.
@@ -1250,7 +1203,8 @@ impl ArcGroup {
         Ok(GroupWriter {
             group: Arc::clone(self),
             k,
-            mem: PackedWriterMem::new(last_slot, self.n_slots),
+            mem: PackedWriterMem::new(last_slot, self.n_slots()),
+            tally: Tally::default(),
         })
     }
 
@@ -1259,7 +1213,8 @@ impl ArcGroup {
     pub fn reader(self: &Arc<Self>, k: usize) -> Result<GroupReader, HandleError> {
         self.check_index(k);
         let rd = reader_join_on(&self.cells(k))?;
-        Ok(GroupReader { group: Arc::clone(self), k, rd: Some(rd) })
+        let tally = Tally::default();
+        Ok(GroupReader { group: Arc::clone(self), k, rd: Some(rd), tally })
     }
 
     /// Claim the writer role of **every** register, for batched writes.
@@ -1271,8 +1226,8 @@ impl ArcGroup {
     /// [`HandleError::Quarantined`] if a scrub pass benched any register
     /// (§3.10 — sticky for the life of the mapping).
     pub fn writer_set(self: &Arc<Self>) -> Result<GroupWriterSet, HandleError> {
-        let mut mems = Vec::with_capacity(self.registers);
-        for k in 0..self.registers {
+        let mut mems = Vec::with_capacity(self.registers());
+        for k in 0..self.registers() {
             let cells = self.cells(k);
             let claimed = if cells.health_word().load(Ordering::Acquire) != HEALTH_OK {
                 Err(HandleError::Quarantined)
@@ -1282,7 +1237,7 @@ impl ArcGroup {
                 writer_claim_on(&cells)
             };
             match claimed {
-                Ok(last_slot) => mems.push(PackedWriterMem::new(last_slot, self.n_slots)),
+                Ok(last_slot) => mems.push(PackedWriterMem::new(last_slot, self.n_slots())),
                 Err(e) => {
                     // Roll back the claims made so far.
                     for j in 0..k {
@@ -1292,7 +1247,7 @@ impl ArcGroup {
                 }
             }
         }
-        Ok(GroupWriterSet { group: Arc::clone(self), mems })
+        Ok(GroupWriterSet { group: Arc::clone(self), mems, tally: Tally::default() })
     }
 
     /// Join **every** register as one reader, for batched reads.
@@ -1300,8 +1255,8 @@ impl ArcGroup {
     /// Counts as one of each register's `max_readers` reader handles;
     /// fails (joining nothing) if any register is at its cap.
     pub fn reader_set(self: &Arc<Self>) -> Result<GroupReaderSet, HandleError> {
-        let mut rds = Vec::with_capacity(self.registers);
-        for k in 0..self.registers {
+        let mut rds = Vec::with_capacity(self.registers());
+        for k in 0..self.registers() {
             match reader_join_on(&self.cells(k)) {
                 Ok(rd) => rds.push(rd),
                 Err(e) => {
@@ -1312,11 +1267,12 @@ impl ArcGroup {
                 }
             }
         }
-        Ok(GroupReaderSet { group: Arc::clone(self), rds, scratch: Vec::new() })
+        let tally = Tally::default();
+        Ok(GroupReaderSet { group: Arc::clone(self), rds, scratch: Vec::new(), tally })
     }
 
-    /// Group-wide operation metrics, available with the `metrics` feature.
-    #[cfg(feature = "metrics")]
+    /// Group-wide operation metrics of every handle dropped so far; exact
+    /// once all handles are gone.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.metrics.snapshot()
     }
@@ -1324,9 +1280,9 @@ impl ArcGroup {
     #[inline]
     fn check_index(&self, k: usize) {
         assert!(
-            k < self.registers,
+            k < self.registers(),
             "register index {k} out of range (group of {})",
-            self.registers
+            self.registers()
         );
     }
 
@@ -1339,7 +1295,7 @@ impl ArcGroup {
     /// as long as the slab, i.e. as long as `self`.
     #[inline]
     fn header(&self, k: usize) -> &RegHeader {
-        debug_assert!(k < self.registers);
+        debug_assert!(k < self.registers());
         // SAFETY: per above — in-bounds (layout.hdr_off + k * 64 for
         // k < registers is inside the mapping by SlabLayout::compute),
         // aligned, initialized, and borrow-tied to &self.
@@ -1355,8 +1311,8 @@ impl ArcGroup {
     /// `fast_path_parity` probe of the `group_scaling` bench).
     #[inline]
     fn cells(&self, k: usize) -> GroupCells<'_> {
-        debug_assert!(k < self.registers);
-        let base = layout::slot_index(k, self.n_slots, 0);
+        debug_assert!(k < self.registers());
+        let base = layout::slot_index(k, self.n_slots(), 0);
         // SAFETY: k < registers, so header index k, the slot/version runs
         // [base, base + n_slots) and the pin run [k * max_readers,
         // (k+1) * max_readers) are all inside their regions, whose extents
@@ -1370,18 +1326,18 @@ impl ArcGroup {
                 header: self.header(k),
                 slots: std::slice::from_raw_parts(
                     slab.add(self.layout.slot_off).cast::<PackedSlot>().add(base),
-                    self.n_slots,
+                    self.n_slots(),
                 ),
                 versions: std::slice::from_raw_parts(
                     slab.add(self.layout.ver_off).cast::<AtomicU64>().add(base),
-                    self.n_slots,
+                    self.n_slots(),
                 ),
                 pins: if self.layout.geometry.has_pin_registry() {
                     std::slice::from_raw_parts(
                         slab.add(self.layout.pin_off)
                             .cast::<AtomicU64>()
-                            .add(k * self.max_readers as usize),
-                        self.max_readers as usize,
+                            .add(k * self.max_readers() as usize),
+                        self.max_readers() as usize,
                     )
                 } else {
                     // No registry region (heap slabs by default): readers
@@ -1401,7 +1357,7 @@ impl ArcGroup {
     /// Whether values of `len` bytes are stored in the slot line.
     #[inline]
     fn stored_inline(&self, len: usize) -> bool {
-        self.inline && len <= INLINE_CAP
+        self.inline_enabled() && len <= INLINE_CAP
     }
 
     /// Slice view of the value in `cell` (= slot `slot` of register `k`,
@@ -1421,15 +1377,15 @@ impl ArcGroup {
         // a short read instead of an out-of-bounds slice — free on the
         // fast path, and the scrubber quarantines the register besides.
         unsafe {
-            let len = (*cell.len.get()).min(self.capacity);
+            let len = (*cell.len.get()).min(self.capacity());
             if self.stored_inline(len) {
                 let inline: &[u8; INLINE_CAP] = &*cell.inline.get();
                 &inline[..len]
             } else {
                 let base = self.slab.base().add(self.layout.arena_off).add(layout::arena_offset(
                     k,
-                    self.n_slots,
-                    self.capacity,
+                    self.n_slots(),
+                    self.capacity(),
                     slot,
                 ));
                 std::slice::from_raw_parts(base.cast_const(), len)
@@ -1463,8 +1419,8 @@ impl ArcGroup {
             } else {
                 let base = self.slab.base().add(self.layout.arena_off).add(layout::arena_offset(
                     k,
-                    self.n_slots,
-                    self.capacity,
+                    self.n_slots(),
+                    self.capacity(),
                     slot,
                 ));
                 std::slice::from_raw_parts_mut(base, len)
@@ -1481,48 +1437,47 @@ impl ArcGroup {
     ///
     /// Same contract as [`ArcGroup::fill_slot_in`].
     unsafe fn fill_slot(&self, k: usize, slot: usize, len: usize, fill: impl FnOnce(&mut [u8])) {
-        assert!(k < self.registers && slot < self.n_slots, "fill_slot out of range");
+        assert!(k < self.registers() && slot < self.n_slots(), "fill_slot out of range");
         let cells = self.cells(k);
         // SAFETY: forwarded contract; indices checked above.
         unsafe { self.fill_slot_in(cells.slot(slot), k, slot, len, fill) }
     }
 
-    /// Acquire a zero-copy guard over register `k` with reader state `rd`;
-    /// shared by every guard-returning read path of the group.
+    /// Acquire a zero-copy guard over register `k` with reader state `rd`,
+    /// counted into the handle's `tally`; shared by every guard-returning
+    /// read path of the group.
     ///
     /// Splitting the borrows (`&self` for the slab, `&mut` for the reader
     /// state) is what lets the guard hold both for its whole life.
     #[inline]
-    fn read_ref_in<'a>(&'a self, k: usize, rd: &'a mut RawReader) -> ReadGuard<'a> {
+    fn read_ref_in<'a>(
+        &'a self,
+        k: usize,
+        rd: &'a mut RawReader,
+        tally: &'a mut MetricsSnapshot,
+    ) -> ReadGuard<'a> {
         let cells = self.cells(k);
-        let out = read_acquire_on(&cells, rd);
-        guard_created_on(&cells);
+        let out = read_acquire_on(&cells, rd, tally);
+        tally.guard_reads += 1;
         // SAFETY: read_acquire pinned `(k, out.slot)` for this reader
         // state; the pin is held at least as long as the guard (the drop
         // probe only releases, never re-acquires), and `rd` is mutably
         // borrowed for that lifetime, so no other acquire can intervene.
         let bytes = unsafe { self.slot_bytes_in(cells.slot(out.slot), k, out.slot) };
         let inline = self.stored_inline(bytes.len());
-        ReadGuard::assemble(
-            bytes,
-            out.slot,
-            out.fast,
-            inline,
-            out.version,
-            rd,
-            GuardBackend::Group { group: self, k },
-        )
+        ReadGuard::assemble(bytes, out, inline, rd, tally, GuardBackend::Group { group: self, k })
     }
 
     /// Guard-drop hook for [`ReadGuard`]s over register `k` (the eager
     /// stale-pin release of `crate::raw::guard_drop_on`).
     #[inline]
-    pub(crate) fn guard_drop(&self, k: usize, rd: &mut RawReader) {
-        guard_drop_on(&self.cells(k), rd);
+    pub(crate) fn guard_drop(&self, k: usize, rd: &mut RawReader, tally: &mut MetricsSnapshot) {
+        guard_drop_on(&self.cells(k), rd, tally);
     }
 
     /// One write against register `k` using writer memory `mem`
-    /// (W1 + copy + W2/W3); shared by all writer handle types.
+    /// (W1 + copy + W2/W3), counted into the handle's `tally`; shared by
+    /// all writer handle types.
     ///
     /// The W1→W3 window runs under a [`PublishGuard`]: if `fill` (or an
     /// injected crash point in panic mode) unwinds, the guard classifies
@@ -1533,14 +1488,15 @@ impl ArcGroup {
         &self,
         k: usize,
         mem: &mut PackedWriterMem,
+        tally: &mut MetricsSnapshot,
         len: usize,
         fill: impl FnOnce(&mut [u8]),
     ) -> Result<(), WriteError> {
-        if len > self.capacity {
-            return Err(WriteError::PayloadTooLarge { len, capacity: self.capacity });
+        if len > self.capacity() {
+            return Err(WriteError::PayloadTooLarge { len, capacity: self.capacity() });
         }
         let cells = self.cells(k);
-        let guard = PublishGuard::select(&cells, mem);
+        let guard = PublishGuard::select(&cells, mem, tally);
         let slot = guard.slot();
         // SAFETY: select_slot grants exclusive access to `(k, slot)` until
         // publish; the Acquire edge on r_end ordered all prior readers'
@@ -1556,11 +1512,11 @@ impl ArcGroup {
 impl fmt::Debug for ArcGroup {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ArcGroup")
-            .field("registers", &self.registers)
-            .field("n_slots", &self.n_slots)
-            .field("capacity", &self.capacity)
-            .field("max_readers", &self.max_readers)
-            .field("backend", &self.backend)
+            .field("registers", &self.registers())
+            .field("n_slots", &self.n_slots())
+            .field("capacity", &self.capacity())
+            .field("max_readers", &self.max_readers())
+            .field("backend", &self.backend())
             .field("heap_bytes", &self.heap_bytes())
             .finish()
     }
@@ -1571,6 +1527,7 @@ pub struct GroupWriter {
     group: Arc<ArcGroup>,
     k: usize,
     mem: PackedWriterMem,
+    tally: Tally,
 }
 
 impl GroupWriter {
@@ -1610,7 +1567,7 @@ impl GroupWriter {
         len: usize,
         fill: impl FnOnce(&mut [u8]),
     ) -> Result<(), WriteError> {
-        self.group.write_one(self.k, &mut self.mem, len, fill)
+        self.group.write_one(self.k, &mut self.mem, &mut self.tally, len, fill)
     }
 
     /// Index of the register this writer owns.
@@ -1633,6 +1590,7 @@ impl fmt::Debug for GroupWriter {
 impl Drop for GroupWriter {
     fn drop(&mut self) {
         writer_release_on(&self.group.cells(self.k));
+        self.group.metrics.fold(&self.tally);
     }
 }
 
@@ -1641,6 +1599,7 @@ pub struct GroupReader {
     group: Arc<ArcGroup>,
     k: usize,
     rd: Option<RawReader>,
+    tally: Tally,
 }
 
 impl GroupReader {
@@ -1651,7 +1610,7 @@ impl GroupReader {
     pub fn read(&mut self) -> Snapshot<'_> {
         let rd = self.rd.as_mut().expect("reader state present until drop");
         let cells = self.group.cells(self.k);
-        let out = read_acquire_on(&cells, rd);
+        let out = read_acquire_on(&cells, rd, &mut self.tally);
         // SAFETY: read_acquire pinned `(k, out.slot)` for this handle; the
         // pin lasts until the next acquire/leave, which require &mut self
         // and are excluded while the Snapshot's borrow is live.
@@ -1667,7 +1626,7 @@ impl GroupReader {
     #[inline]
     pub fn read_ref(&mut self) -> ReadGuard<'_> {
         let rd = self.rd.as_mut().expect("reader state present until drop");
-        self.group.read_ref_in(self.k, rd)
+        self.group.read_ref_in(self.k, rd, &mut self.tally)
     }
 
     /// Block until this register publishes past `last`, then read it.
@@ -1699,6 +1658,7 @@ impl Drop for GroupReader {
         if let Some(rd) = self.rd.take() {
             reader_leave_on(&self.group.cells(self.k), rd);
         }
+        self.group.metrics.fold(&self.tally);
     }
 }
 
@@ -1710,6 +1670,7 @@ impl Drop for GroupReader {
 pub struct GroupWriterSet {
     group: Arc<ArcGroup>,
     mems: Vec<PackedWriterMem>,
+    tally: Tally,
 }
 
 impl GroupWriterSet {
@@ -1753,7 +1714,7 @@ impl GroupWriterSet {
         fill: impl FnOnce(&mut [u8]),
     ) -> Result<(), WriteError> {
         self.group.check_index(k);
-        self.group.write_one(k, &mut self.mems[k], len, fill)
+        self.group.write_one(k, &mut self.mems[k], &mut self.tally, len, fill)
     }
 
     /// Apply a batch of `(register, value)` writes in one pass.
@@ -1803,6 +1764,7 @@ impl Drop for GroupWriterSet {
         for k in 0..self.mems.len() {
             writer_release_on(&self.group.cells(k));
         }
+        self.group.metrics.fold(&self.tally);
     }
 }
 
@@ -1812,6 +1774,7 @@ pub struct GroupReaderSet {
     rds: Vec<RawReader>,
     /// Reusable key buffer for [`GroupReaderSet::read_many`].
     scratch: Vec<u32>,
+    tally: Tally,
 }
 
 impl GroupReaderSet {
@@ -1824,7 +1787,7 @@ impl GroupReaderSet {
     pub fn read(&mut self, k: usize) -> Snapshot<'_> {
         self.group.check_index(k);
         let cells = self.group.cells(k);
-        let out = read_acquire_on(&cells, &mut self.rds[k]);
+        let out = read_acquire_on(&cells, &mut self.rds[k], &mut self.tally);
         // SAFETY: as in GroupReader::read — the pin on `(k, out.slot)`
         // lasts until this set's next acquire on register k, which
         // requires &mut self.
@@ -1843,7 +1806,7 @@ impl GroupReaderSet {
     #[inline]
     pub fn read_ref(&mut self, k: usize) -> ReadGuard<'_> {
         self.group.check_index(k);
-        self.group.read_ref_in(k, &mut self.rds[k])
+        self.group.read_ref_in(k, &mut self.rds[k], &mut self.tally)
     }
 
     /// Read many registers in one pass, invoking `f(k, guard)` with a
@@ -1882,7 +1845,7 @@ impl GroupReaderSet {
             let k = k32 as usize;
             // Pin discipline: a duplicate key's later acquire only runs
             // after the earlier guard dropped (the callback returned).
-            let guard = self.group.read_ref_in(k, &mut self.rds[k]);
+            let guard = self.group.read_ref_in(k, &mut self.rds[k], &mut self.tally);
             f(k, &guard);
         }
         self.scratch = scratch;
@@ -1931,6 +1894,7 @@ impl Drop for GroupReaderSet {
         for (k, rd) in self.rds.drain(..).enumerate() {
             reader_leave_on(&self.group.cells(k), rd);
         }
+        self.group.metrics.fold(&self.tally);
     }
 }
 

@@ -147,10 +147,9 @@
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 use register_common::errors::ConfigError;
+use register_common::metrics::MetricsSnapshot;
 use register_common::pad::CachePadded;
-#[cfg(feature = "metrics")]
-use register_common::OpMetrics;
-use sync_primitives::WaitSet;
+use sync_primitives::{Backoff, WaitSet};
 
 use crate::crash::{maybe_crash, CrashPoint};
 use crate::current::{counter_of, index_of, Current, MAX_READERS};
@@ -312,36 +311,17 @@ pub struct RawOptions {
     /// the RF-style RMW — the ablation that isolates the paper's central
     /// optimization.
     pub fast_path: bool,
-    /// Enable the per-op counters (default on). Only meaningful in builds
-    /// with the `metrics` cargo feature — without it every bump is compiled
-    /// out regardless; with it, turning this off skips the relaxed
-    /// `fetch_add`s on the hot paths, so one binary can measure the cost of
-    /// its own instrumentation (the `ablations.metrics_toggle` section of
-    /// BENCH_ops.json).
-    pub metrics: bool,
 }
 
 impl Default for RawOptions {
     fn default() -> Self {
-        Self { hint: true, fast_path: true, metrics: true }
+        Self { hint: true, fast_path: true }
     }
 }
 
 // ---------------------------------------------------------------------
 // The storage-generic protocol core
 // ---------------------------------------------------------------------
-
-/// Bump a per-op counter iff metrics are compiled in (`metrics` cargo
-/// feature) **and** enabled at runtime ([`RawOptions::metrics`]). The
-/// runtime branch is what the `ablations.metrics_toggle` bench measures.
-macro_rules! bump {
-    ($c:expr, $field:ident, $n:expr) => {
-        #[cfg(feature = "metrics")]
-        if $c.opts().metrics {
-            OpMetrics::bump(&$c.metrics().$field, $n);
-        }
-    };
-}
 
 /// Storage view the protocol state machine runs over: which atomics hold
 /// the protocol words of *one* register.
@@ -410,9 +390,6 @@ pub(crate) trait ArcCells {
     fn max_readers(&self) -> u32;
     /// Protocol ablation switches.
     fn opts(&self) -> RawOptions;
-    /// Operation counters (shared by all registers of a slab group).
-    #[cfg(feature = "metrics")]
-    fn metrics(&self) -> &OpMetrics;
 }
 
 /// Writer-handle-local memory for W1/W3: the last published slot, the
@@ -480,14 +457,17 @@ pub(crate) fn reader_join_on<C: ArcCells>(c: &C) -> Result<RawReader, HandleErro
 }
 
 /// Perform the coordination part of a read (Algorithm 2), returning the
-/// slot the caller may read.
+/// slot the caller may read, and count it into `n`, the reader handle's
+/// local tally.
 ///
 /// The returned slot remains valid (never rewritten) until the next
 /// `read_acquire_on`/`reader_leave_on` with the same handle.
 #[inline]
-pub(crate) fn read_acquire_on<C: ArcCells>(c: &C, rd: &mut RawReader) -> ReadOutcome {
-    bump!(c, reads, 1);
-
+pub(crate) fn read_acquire_on<C: ArcCells>(
+    c: &C,
+    rd: &mut RawReader,
+    n: &mut MetricsSnapshot,
+) -> ReadOutcome {
     if c.opts().fast_path {
         // R1: SeqCst is part of the `current` budget (table above). On
         // x86 this is a plain `mov`; the *correctness* of the hit
@@ -501,22 +481,25 @@ pub(crate) fn read_acquire_on<C: ArcCells>(c: &C, rd: &mut RawReader) -> ReadOut
             // R2: the pinned slot is still the most recent publication —
             // the same publication as last time (linchpin argument), so
             // the cached version is exact and the fast path stays free.
-            bump!(c, fast_reads, 1);
+            n.fast_reads += 1;
             return ReadOutcome { slot: index as usize, fast: true, version: rd.last_version };
         }
     }
+    // A tally's `reads` counts only the reads that leave R2 (see
+    // `MetricsSnapshot`), so the fast path above stays one add.
+    n.reads += 1;
     // Slow path: release the previously pinned slot (R3) ...
     if let Some(old) = rd.last_index {
         // Un-register the pin *before* releasing the unit it describes,
         // so a crash-sweep never double-releases (registry comment above).
         pin_record(c, rd, None);
         release_unit_on(c, old as usize);
-        bump!(c, read_rmws, 1);
+        n.read_rmws += 1;
     }
     // ... then atomically fetch the up-to-date index while registering
     // an anonymous presence unit on it (R4/R5).
     let raw = c.current_word().fetch_add(1, Ordering::SeqCst);
-    bump!(c, read_rmws, 1);
+    n.read_rmws += 1;
     let index = index_of(raw);
     if index as usize >= c.n_slots() {
         // `current` no longer names a real slot: the word was scribbled
@@ -564,14 +547,6 @@ pub(crate) fn release_unit_on<C: ArcCells>(c: &C, slot: usize) {
     }
 }
 
-/// Metric hook: a zero-copy read guard was created over this register
-/// (the acquire itself is a plain [`read_acquire_on`]).
-#[cfg_attr(not(feature = "metrics"), allow(unused_variables))]
-#[inline]
-pub(crate) fn guard_created_on<C: ArcCells>(c: &C) {
-    bump!(c, guard_reads, 1);
-}
-
 /// Drop edge of a zero-copy read guard: release the pin **eagerly iff
 /// the pinned publication is already superseded**.
 ///
@@ -593,17 +568,19 @@ pub(crate) fn guard_created_on<C: ArcCells>(c: &C) {
 /// condition beyond holding the unit), so both branches of the racy
 /// compare are sound — a write racing past the load merely defers the
 /// release to the next read, today's behavior.
-pub(crate) fn guard_drop_on<C: ArcCells>(c: &C, rd: &mut RawReader) {
-    bump!(c, guard_drops, 1);
+///
+/// The drop is counted into `n`, the owning handle's tally; the eager
+/// release is an R3 RMW exactly like the one in [`read_acquire_on`]'s
+/// slow path, so it counts as a read RMW (or the E5 per-read RMW figure
+/// would under-report guard workloads).
+pub(crate) fn guard_drop_on<C: ArcCells>(c: &C, rd: &mut RawReader, n: &mut MetricsSnapshot) {
+    n.guard_drops += 1;
     if let Some(last) = rd.last_index {
         let raw = c.current_word().load(Ordering::SeqCst);
         if index_of(raw) != last {
             pin_record(c, rd, None);
             release_unit_on(c, last as usize);
-            // The eager release is an R3 RMW exactly like the one in
-            // read_acquire_on's slow path — count it, or the E5 per-read
-            // RMW figure under-reports guard workloads.
-            bump!(c, read_rmws, 1);
+            n.read_rmws += 1;
             rd.last_index = None;
             rd.last_version = 0;
         }
@@ -643,6 +620,11 @@ pub(crate) fn slot_free_on<C: ArcCells>(c: &C, slot: usize) -> bool {
 /// Claim the unique writer role, returning the slot of the current
 /// publication (the claimer's initial `last_slot`).
 pub(crate) fn writer_claim_on<C: ArcCells>(c: &C) -> Result<usize, HandleError> {
+    // Read the birth token (a /proc read) before claiming: a process
+    // killed between the claim and the lease stores below leaves a claim
+    // that no lease names and no recovery clears, so that window must
+    // stay a couple of stores wide.
+    let birth = self_birth();
     // Acquire: lock-style handoff — pairs with the Release store in
     // writer_release_on, ordering the previous writer's publishes (and
     // slot stores) before this claimer's reads of protocol state.
@@ -655,7 +637,7 @@ pub(crate) fn writer_claim_on<C: ArcCells>(c: &C) -> Result<usize, HandleError> 
     // quiescent recovery. The birth token lands first so a probe that
     // sees our pid sees our incarnation too (a pid with birth 0 is
     // treated as "no birth evidence", i.e. v1 pid-only semantics).
-    c.birth_word().store(self_birth(), Ordering::Relaxed);
+    c.birth_word().store(birth, Ordering::Relaxed);
     c.lease_word().store(self_pid(), Ordering::Relaxed);
     // Invariant: last_slot always equals current.index between writes,
     // so a re-claimed writer reconstructs it from `current`.
@@ -694,8 +676,15 @@ pub(crate) fn heartbeat_tick_on<C: ArcCells>(c: &C) {
 /// live_readers + 2` a single sweep always finds a slot (Lemma 4.1),
 /// preserving writer wait-freedom. Below that bound (ablation only) the
 /// scan retries with backoff, which is where wait-freedom is lost.
-pub(crate) fn select_slot_on<C: ArcCells, W: ArcWriterMem>(c: &C, wr: &mut W) -> usize {
-    bump!(c, writes, 1);
+///
+/// The write, its RMWs and probes are counted into `n`, the writer
+/// handle's local tally.
+pub(crate) fn select_slot_on<C: ArcCells, W: ArcWriterMem>(
+    c: &C,
+    wr: &mut W,
+    n: &mut MetricsSnapshot,
+) -> usize {
+    n.writes += 1;
     // The watchdog's stall classifier keys on "journal mid-publication,
     // heartbeat not moving": tick once as the operation starts so a
     // writer that wedges *while filling* reads as stalled, not idle.
@@ -707,30 +696,24 @@ pub(crate) fn select_slot_on<C: ArcCells, W: ArcWriterMem>(c: &C, wr: &mut W) ->
         // Release, though the real data edge is re-established by the
         // slot_free validation below.
         let h = c.hint_word().swap(NO_HINT, Ordering::Acquire);
-        bump!(c, write_rmws, 1);
+        n.write_rmws += 1;
         if h != NO_HINT {
             wr.push_candidate(h as u32, true);
         }
         // Pop candidates until one validates. Each pop is plain local
         // memory; only the validation (slot_free) is a shared probe —
         // candidates discarded by the local last_slot check cost none.
-        #[cfg_attr(not(feature = "metrics"), allow(unused_variables))]
         while let Some((cand, from_hint)) = wr.pop_candidate() {
             let cand = cand as usize;
             if cand == wr.last_slot() || cand >= c.n_slots() {
                 continue;
             }
-            bump!(c, slot_probes, 1);
+            n.slot_probes += 1;
             if slot_free_on(c, cand) {
-                #[cfg(feature = "metrics")]
-                if c.opts().metrics {
-                    OpMetrics::bump(&c.metrics().ring_hits, 1);
-                    // Attribute §3.4-origin candidates to the hint
-                    // metric no matter how many calls they waited.
-                    if from_hint {
-                        OpMetrics::bump(&c.metrics().hint_hits, 1);
-                    }
-                }
+                n.ring_hits += 1;
+                // Attribute §3.4-origin candidates to the hint metric no
+                // matter how many calls they waited.
+                n.hint_hits += u64::from(from_hint);
                 // Journal W1: the slot is about to be filled. A crash
                 // between here and publish classifies as pre-W2 discard.
                 c.wip_word().store(wip_pack(STAGE_FILLING, cand), Ordering::Relaxed);
@@ -738,17 +721,17 @@ pub(crate) fn select_slot_on<C: ArcCells, W: ArcWriterMem>(c: &C, wr: &mut W) ->
             }
         }
     }
-    let n = c.n_slots();
-    let mut backoff = sync_backoff();
+    let n_slots = c.n_slots();
+    let mut backoff = Backoff::new();
     loop {
-        for off in 0..n {
-            let s = (wr.search_pos() + off) % n;
+        for off in 0..n_slots {
+            let s = (wr.search_pos() + off) % n_slots;
             if s == wr.last_slot() {
                 continue;
             }
-            bump!(c, slot_probes, 1);
+            n.slot_probes += 1;
             if slot_free_on(c, s) {
-                wr.set_search_pos((s + 1) % n);
+                wr.set_search_pos((s + 1) % n_slots);
                 // Journal W1 (fallback-scan path) — same as above.
                 c.wip_word().store(wip_pack(STAGE_FILLING, s), Ordering::Relaxed);
                 return s;
@@ -757,29 +740,32 @@ pub(crate) fn select_slot_on<C: ArcCells, W: ArcWriterMem>(c: &C, wr: &mut W) ->
         // Unreachable with n_slots >= live_readers + 2; reachable in the
         // under-provisioned ablation, where the writer must wait for a
         // reader to move on.
-        backoff();
+        backoff.snooze();
     }
 }
 
 /// W2 + W3: publish `slot` (already filled by the caller) and freeze the
-/// superseded publication's presence count into its `r_start`.
+/// superseded publication's presence count into its `r_start`; the W2
+/// RMW is counted into the writer's tally `n`.
 ///
 /// # Contract
 ///
 /// `slot` must come from [`select_slot_on`] with the same writer memory,
 /// and the caller must have completed all payload stores to it.
-pub(crate) fn publish_on<C: ArcCells, W: ArcWriterMem>(c: &C, wr: &mut W, slot: usize) {
-    let mut displaced = NOT_SWAPPED;
-    publish_core(c, wr, slot, &mut displaced);
-}
-
-/// [`publish_on`] with the displaced-word mirror the panic-safe
-/// [`PublishGuard`] needs: immediately after the W2 swap — before any
-/// injection point — the displaced `current` word is stored through
-/// `displaced`, a place in the *caller's* frame. An in-process unwind
-/// preserves outer frames, so the guard can always finish W3 exactly;
-/// the lossy at-W2 census repair is for cross-process crashes only.
-fn publish_core<C: ArcCells, W: ArcWriterMem>(c: &C, wr: &mut W, slot: usize, displaced: &mut u64) {
+///
+/// For the panic-safe [`PublishGuard`], immediately after the W2 swap —
+/// before any injection point — the displaced `current` word is stored
+/// through `displaced`, a place in the *caller's* frame. An in-process
+/// unwind preserves outer frames, so the guard can always finish W3
+/// exactly; the lossy at-W2 census repair is for cross-process crashes
+/// only.
+fn publish_core<C: ArcCells, W: ArcWriterMem>(
+    c: &C,
+    wr: &mut W,
+    slot: usize,
+    displaced: &mut u64,
+    n: &mut MetricsSnapshot,
+) {
     debug_assert_ne!(slot, wr.last_slot(), "W1 forbids reusing the current slot");
     debug_assert!(slot_free_on(c, slot), "publishing a slot with standing readers");
     // Journal the publication intent (§3.9): capture the previous slot,
@@ -812,7 +798,7 @@ fn publish_core<C: ArcCells, W: ArcWriterMem>(c: &C, wr: &mut W, slot: usize, di
     // W2: publish atomically with a zeroed presence counter.
     let old = c.current_word().swap(Current::fresh(slot as u32), Ordering::SeqCst);
     *displaced = old;
-    bump!(c, write_rmws, 1);
+    n.write_rmws += 1;
     maybe_crash(CrashPoint::AtW2);
     // Capture the displaced word, then advance the journal stage. The
     // Release on the stage store orders it after the capture, so recovery
@@ -1038,6 +1024,8 @@ pub(crate) fn roll_forward_version_on<C: ArcCells>(c: &C, slot: usize) {
 pub(crate) struct PublishGuard<'g, C: ArcCells, W: ArcWriterMem> {
     c: &'g C,
     wr: &'g mut W,
+    /// The writer handle's local tally.
+    n: &'g mut MetricsSnapshot,
     slot: usize,
     /// The word the W2 swap displaced ([`NOT_SWAPPED`] until it runs).
     displaced: u64,
@@ -1045,10 +1033,11 @@ pub(crate) struct PublishGuard<'g, C: ArcCells, W: ArcWriterMem> {
 }
 
 impl<'g, C: ArcCells, W: ArcWriterMem> PublishGuard<'g, C, W> {
-    /// W1: select a free slot and arm the unwind repair.
-    pub(crate) fn select(c: &'g C, wr: &'g mut W) -> Self {
-        let slot = select_slot_on(c, wr);
-        PublishGuard { c, wr, slot, displaced: NOT_SWAPPED, armed: true }
+    /// W1: select a free slot and arm the unwind repair; the write is
+    /// counted into the writer handle's tally `n`.
+    pub(crate) fn select(c: &'g C, wr: &'g mut W, n: &'g mut MetricsSnapshot) -> Self {
+        let slot = select_slot_on(c, wr, n);
+        PublishGuard { c, wr, n, slot, displaced: NOT_SWAPPED, armed: true }
     }
 
     /// The selected slot the caller may fill until [`publish`].
@@ -1061,7 +1050,7 @@ impl<'g, C: ArcCells, W: ArcWriterMem> PublishGuard<'g, C, W> {
     /// W2 + W3: publish the filled slot and disarm.
     pub(crate) fn publish(mut self) {
         let slot = self.slot;
-        publish_core(self.c, &mut *self.wr, slot, &mut self.displaced);
+        publish_core(self.c, &mut *self.wr, slot, &mut self.displaced, &mut *self.n);
         self.armed = false;
     }
 }
@@ -1195,9 +1184,6 @@ pub struct RawArc {
     /// Reader cap `N`.
     max_readers: u32,
     opts: RawOptions,
-    /// Operation counters for experiment E5/E6.
-    #[cfg(feature = "metrics")]
-    pub metrics: OpMetrics,
 }
 
 impl ArcCells for RawArc {
@@ -1281,11 +1267,6 @@ impl ArcCells for RawArc {
     fn opts(&self) -> RawOptions {
         self.opts
     }
-    #[cfg(feature = "metrics")]
-    #[inline]
-    fn metrics(&self) -> &OpMetrics {
-        &self.metrics
-    }
 }
 
 /// The per-register publication journal + writer lease (§3.9, lease v2
@@ -1344,6 +1325,10 @@ pub struct RawReader {
     /// `pid << 32` — the owner half of this handle's registry entries.
     owner: u64,
 }
+
+// Group reader sets hold one `RawReader` per register (2^20 in the
+// `table_zipf` workload): counters live in the handle, never here.
+const _: () = assert!(std::mem::size_of::<RawReader>() == 32);
 
 impl RawReader {
     /// Slot this reader currently pins, if any.
@@ -1530,8 +1515,6 @@ impl RawArc {
             writer_claimed: AtomicBool::new(false),
             max_readers,
             opts,
-            #[cfg(feature = "metrics")]
-            metrics: OpMetrics::new(),
         })
     }
 
@@ -1607,9 +1590,10 @@ impl RawArc {
     ///
     /// The returned slot remains valid (never rewritten) until the next
     /// `read_acquire` or [`RawArc::reader_leave`] with the same handle.
+    /// Counts nothing, like the rest of this raw API.
     #[inline]
     pub fn read_acquire(&self, rd: &mut RawReader) -> ReadOutcome {
-        read_acquire_on(self, rd)
+        read_acquire_on(self, rd, &mut MetricsSnapshot::default())
     }
 
     /// Deregister a reader handle, releasing its outstanding unit (if any).
@@ -1649,9 +1633,11 @@ impl RawArc {
     /// W1: select a free slot different from the last written one.
     ///
     /// See the module docs for the candidate-ring fast path and the
-    /// Lemma 4.1 fallback scan.
+    /// Lemma 4.1 fallback scan. Like every call of this raw protocol API
+    /// it counts nothing: operation counters belong to the register
+    /// handles.
     pub fn select_slot(&self, wr: &mut RawWriter) -> usize {
-        select_slot_on(self, wr)
+        select_slot_on(self, wr, &mut MetricsSnapshot::default())
     }
 
     /// W2 + W3: publish `slot` (already filled by the caller) and freeze the
@@ -1662,7 +1648,8 @@ impl RawArc {
     /// `slot` must come from [`RawArc::select_slot`] on the same handle,
     /// and the caller must have completed all payload stores to it.
     pub fn publish(&self, wr: &mut RawWriter, slot: usize) {
-        publish_on(self, wr, slot)
+        let mut displaced = NOT_SWAPPED;
+        publish_core(self, wr, slot, &mut displaced, &mut MetricsSnapshot::default())
     }
 
     /// Sum of outstanding presence units across all non-current slots plus
@@ -1672,21 +1659,6 @@ impl RawArc {
     /// have performed at least one read.
     pub fn outstanding_units(&self) -> u64 {
         outstanding_units_on(self)
-    }
-}
-
-/// A minimal backoff closure (avoids depending on sync-primitives here).
-fn sync_backoff() -> impl FnMut() {
-    let mut step = 0u32;
-    move || {
-        if step < 10 {
-            for _ in 0..1u32 << step {
-                std::hint::spin_loop();
-            }
-            step += 1;
-        } else {
-            std::thread::yield_now();
-        }
     }
 }
 
@@ -1741,8 +1713,7 @@ mod tests {
 
     #[test]
     fn fast_path_disabled_forces_rmw() {
-        let r =
-            RawArc::new(2, 4, RawOptions { hint: true, fast_path: false, ..RawOptions::default() });
+        let r = RawArc::new(2, 4, RawOptions { hint: true, fast_path: false });
         let mut rd = r.reader_join().unwrap();
         let a = r.read_acquire(&mut rd);
         let b = r.read_acquire(&mut rd);
@@ -1948,8 +1919,7 @@ mod tests {
 
     #[test]
     fn hint_disabled_still_finds_slots() {
-        let r =
-            RawArc::new(2, 4, RawOptions { hint: false, fast_path: true, ..RawOptions::default() });
+        let r = RawArc::new(2, 4, RawOptions { hint: false, fast_path: true });
         let mut w = r.writer_claim().unwrap();
         for _ in 0..20 {
             let s = r.select_slot(&mut w);

@@ -38,8 +38,7 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
-#[cfg(feature = "metrics")]
-use register_common::metrics::MetricsSnapshot;
+use register_common::metrics::{MetricsSnapshot, OpMetrics, Tally};
 use register_common::pad::CachePadded;
 use register_common::traits::{validate_spec, BuildError, RegisterSpec};
 
@@ -47,7 +46,8 @@ use crate::current::MAX_READERS;
 use crate::errors::{HandleError, WriteError};
 use crate::group::ArcGroup;
 use crate::raw::{
-    guard_created_on, guard_drop_on, PublishGuard, RawArc, RawOptions, RawReader, RawWriter,
+    guard_drop_on, read_acquire_on, PublishGuard, RawArc, RawOptions, RawReader, RawWriter,
+    ReadOutcome,
 };
 use crate::typed::Versioned;
 
@@ -173,17 +173,6 @@ impl ArcBuilder {
         self
     }
 
-    /// Enable/disable the per-op metric counters at runtime (default on).
-    ///
-    /// Only observable in builds with the `metrics` cargo feature (without
-    /// it the counters are compiled out entirely); with the feature, turning
-    /// this off skips the relaxed bumps on the hot paths so the
-    /// `ablations.metrics_toggle` bench can price the instrumentation.
-    pub fn metrics(mut self, on: bool) -> Self {
-        self.opts.metrics = on;
-        self
-    }
-
     /// Build the register.
     pub fn build(self) -> Result<Arc<ArcRegister>, BuildError> {
         let spec = RegisterSpec::new(self.max_readers as usize, self.capacity);
@@ -202,7 +191,14 @@ impl ArcBuilder {
         let arena_bytes =
             if self.inline && self.capacity <= INLINE_CAP { 0 } else { n_slots * self.capacity };
         let arena = Arena::zeroed(arena_bytes);
-        let reg = ArcRegister { raw, slots, arena, capacity: self.capacity, inline: self.inline };
+        let reg = ArcRegister {
+            raw,
+            slots,
+            arena,
+            capacity: self.capacity,
+            inline: self.inline,
+            metrics: OpMetrics::new(),
+        };
         // Algorithm 1: the initial value goes to slot 0, which RawArc::new
         // already published. No reader or writer exists yet, so plain
         // writes are race-free; the Arc construction below publishes them
@@ -228,6 +224,8 @@ pub struct ArcRegister {
     capacity: usize,
     /// Whether payloads ≤ [`INLINE_CAP`] are stored in the slot header.
     inline: bool,
+    /// Totals folded in by dropped handles (E5/E6).
+    metrics: OpMetrics,
 }
 
 impl ArcRegister {
@@ -287,19 +285,19 @@ impl ArcRegister {
     /// Claim the unique writer handle.
     pub fn writer(self: &Arc<Self>) -> Result<ArcWriter, HandleError> {
         let wr = self.raw.writer_claim()?;
-        Ok(ArcWriter { reg: Arc::clone(self), wr: Some(wr) })
+        Ok(ArcWriter { reg: Arc::clone(self), wr: Some(wr), tally: Tally::default() })
     }
 
     /// Register a reader handle (up to `max_readers` concurrently).
     pub fn reader(self: &Arc<Self>) -> Result<ArcReader, HandleError> {
         let rd = self.raw.reader_join()?;
-        Ok(ArcReader { reg: Arc::clone(self), rd: Some(rd) })
+        Ok(ArcReader { reg: Arc::clone(self), rd: Some(rd), tally: Tally::default() })
     }
 
-    /// Operation metrics (E5/E6), available with the `metrics` feature.
-    #[cfg(feature = "metrics")]
+    /// Operation metrics (E5/E6) of every handle dropped so far; exact
+    /// once all handles are gone.
     pub fn metrics(&self) -> MetricsSnapshot {
-        self.raw.metrics.snapshot()
+        self.metrics.snapshot()
     }
 
     /// Bytes of heap this register owns (struct + slot headers + slot
@@ -381,6 +379,7 @@ impl fmt::Debug for ArcRegister {
 pub struct ArcWriter {
     reg: Arc<ArcRegister>,
     wr: Option<RawWriter>,
+    tally: Tally,
 }
 
 impl ArcWriter {
@@ -432,7 +431,7 @@ impl ArcWriter {
         let wr = self.wr.as_mut().expect("writer state present until drop");
         // W1: select a free slot; the guard repairs any unwind from here
         // until publish returns.
-        let guard = PublishGuard::select(&self.reg.raw, wr);
+        let guard = PublishGuard::select(&self.reg.raw, wr, &mut self.tally);
         let slot = guard.slot();
         // SAFETY: select granted exclusive access to `slot` until publish;
         // the Acquire edge on r_end ordered all prior readers' loads
@@ -466,6 +465,7 @@ impl Drop for ArcWriter {
         if let Some(wr) = self.wr.take() {
             self.reg.raw.writer_release(wr);
         }
+        self.reg.metrics.fold(&self.tally);
     }
 }
 
@@ -473,6 +473,7 @@ impl Drop for ArcWriter {
 pub struct ArcReader {
     reg: Arc<ArcRegister>,
     rd: Option<RawReader>,
+    tally: Tally,
 }
 
 impl ArcReader {
@@ -485,7 +486,7 @@ impl ArcReader {
     #[inline]
     pub fn read(&mut self) -> Snapshot<'_> {
         let rd = self.rd.as_mut().expect("reader state present until drop");
-        let out = self.reg.raw.read_acquire(rd);
+        let out = read_acquire_on(&self.reg.raw, rd, &mut self.tally);
         // SAFETY: read_acquire pinned `out.slot` for this handle; the pin
         // lasts until the next read_acquire/leave, which require &mut self
         // and are therefore excluded while the Snapshot's borrow is live.
@@ -510,8 +511,8 @@ impl ArcReader {
     pub fn read_ref(&mut self) -> ReadGuard<'_> {
         let rd = self.rd.as_mut().expect("reader state present until drop");
         let reg: &ArcRegister = &self.reg;
-        let out = reg.raw.read_acquire(rd);
-        guard_created_on(&reg.raw);
+        let out = read_acquire_on(&reg.raw, rd, &mut self.tally);
+        self.tally.guard_reads += 1;
         // SAFETY: read_acquire pinned `out.slot` for this handle; the pin
         // is held at least for the guard's lifetime (the drop probe only
         // releases it, never re-acquires), and the handle is mutably
@@ -525,6 +526,7 @@ impl ArcReader {
             inline,
             version: out.version,
             rd,
+            tally: &mut self.tally,
             backend: GuardBackend::Single(&reg.raw),
         }
     }
@@ -575,6 +577,7 @@ impl Drop for ArcReader {
         if let Some(rd) = self.rd.take() {
             self.reg.raw.reader_leave(rd);
         }
+        self.reg.metrics.fold(&self.tally);
     }
 }
 
@@ -726,6 +729,8 @@ pub struct ReadGuard<'a> {
     /// probe can release/keep the pin — and so no concurrent read of the
     /// same handle can exist while the guard is alive.
     rd: &'a mut RawReader,
+    /// The owning handle's tally, which counts the drop.
+    tally: &'a mut MetricsSnapshot,
     backend: GuardBackend<'a>,
 }
 
@@ -733,14 +738,14 @@ impl ReadGuard<'_> {
     /// Assemble a guard (shared with the group read paths).
     pub(crate) fn assemble<'a>(
         bytes: &'a [u8],
-        slot: usize,
-        fast: bool,
+        out: ReadOutcome,
         inline: bool,
-        version: u64,
         rd: &'a mut RawReader,
+        tally: &'a mut MetricsSnapshot,
         backend: GuardBackend<'a>,
     ) -> ReadGuard<'a> {
-        ReadGuard { bytes, slot, fast, inline, version, rd, backend }
+        let (slot, fast, version) = (out.slot, out.fast, out.version);
+        ReadGuard { bytes, slot, fast, inline, version, rd, tally, backend }
     }
 
     /// The pinned bytes, tied to the guard's own borrow (they must not
@@ -785,8 +790,8 @@ impl Deref for ReadGuard<'_> {
 impl Drop for ReadGuard<'_> {
     fn drop(&mut self) {
         match self.backend {
-            GuardBackend::Single(raw) => guard_drop_on(raw, self.rd),
-            GuardBackend::Group { group, k } => group.guard_drop(k, self.rd),
+            GuardBackend::Single(raw) => guard_drop_on(raw, self.rd, self.tally),
+            GuardBackend::Group { group, k } => group.guard_drop(k, self.rd, self.tally),
         }
     }
 }
@@ -1125,34 +1130,22 @@ mod tests {
         assert_eq!(out.as_ptr(), ptr, "steady-state read_to_vec must not reallocate");
     }
 
-    #[cfg(feature = "metrics")]
     #[test]
-    fn guard_metrics_track_held_guards() {
+    fn guard_metrics_total_after_handle_drop() {
         let reg = small();
-        let mut r = reg.reader().unwrap();
-        assert_eq!(reg.metrics().guards_held(), 0);
-        let g = r.read_ref();
-        assert_eq!(reg.metrics().guards_held(), 1);
-        drop(g);
-        let m = reg.metrics();
-        assert_eq!(m.guards_held(), 0);
-        assert_eq!(m.guard_reads, 1);
-        assert_eq!(m.guard_drops, 1);
-    }
-
-    #[cfg(feature = "metrics")]
-    #[test]
-    fn metrics_toggle_disables_counters() {
-        let reg = ArcRegister::builder(2, 64).metrics(false).build().unwrap();
         let mut w = reg.writer().unwrap();
         let mut r = reg.reader().unwrap();
-        w.write(b"x");
-        let _ = r.read();
-        drop(r.read_ref());
+        drop(r.read_ref()); // pins the initial value; kept for R2
+        let g = r.read_ref(); // fast path
+        w.write(b"moved on");
+        drop(g); // the register moved: eager R3 release
+        assert_eq!(reg.metrics(), MetricsSnapshot::default(), "live handles fold nothing");
+        drop(r);
         let m = reg.metrics();
-        assert_eq!(m.reads, 0, "metrics(false) must skip every bump");
-        assert_eq!(m.writes, 0);
-        assert_eq!(m.guard_reads, 0);
+        assert_eq!((m.guard_reads, m.guard_drops), (2, 2));
+        assert_eq!((m.reads, m.fast_reads, m.read_rmws), (2, 1, 2));
+        drop(w);
+        assert_eq!(reg.metrics().writes, 1);
     }
 
     #[test]

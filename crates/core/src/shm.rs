@@ -625,17 +625,13 @@ pub(crate) struct Slab {
     base: std::ptr::NonNull<u8>,
     len: usize,
     kind: SlabKind,
-    /// Effective placement (request + fallbacks), recorded into the
-    /// superblock at initialization.
-    placement: PlacementInfo,
 }
 
 enum SlabKind {
-    Heap(std::alloc::Layout),
+    /// Allocated with [`Slab::heap_layout`] of `len`.
+    Heap,
     #[cfg(target_os = "linux")]
-    Shm {
-        fd: std::os::fd::OwnedFd,
-    },
+    Shm { fd: std::os::fd::OwnedFd },
 }
 
 // SAFETY: the slab is a raw memory region; all concurrent access to it goes
@@ -651,7 +647,7 @@ unsafe impl Sync for Slab {}
 impl std::fmt::Debug for Slab {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let backend = match self.kind {
-            SlabKind::Heap(_) => "heap",
+            SlabKind::Heap => "heap",
             #[cfg(target_os = "linux")]
             SlabKind::Shm { .. } => "shm",
         };
@@ -666,7 +662,7 @@ impl Slab {
     /// out of memory here is a *capacity* condition the caller chose, and
     /// it must be able to degrade (smaller table, shm backend, …).
     pub fn heap(len: usize) -> Result<Self, SlabError> {
-        let layout = std::alloc::Layout::from_size_align(len, 64)
+        let layout = Self::heap_layout(len)
             .map_err(|_| SlabError::BadGeometry { reason: "slab size overflows usize" })?;
         if let Some(errno) = faults::fail_errno(FaultSite::HeapAlloc) {
             return Err(SlabError::Os { call: "alloc_zeroed", errno });
@@ -676,7 +672,12 @@ impl Slab {
         let Some(base) = std::ptr::NonNull::new(ptr) else {
             return Err(SlabError::Os { call: "alloc_zeroed", errno: faults::ENOMEM });
         };
-        Ok(Self { base, len, kind: SlabKind::Heap(layout), placement: PlacementInfo::heap() })
+        Ok(Self { base, len, kind: SlabKind::Heap })
+    }
+
+    /// Allocation layout of a heap slab of `len` bytes (line-aligned).
+    fn heap_layout(len: usize) -> Result<std::alloc::Layout, std::alloc::LayoutError> {
+        std::alloc::Layout::from_size_align(len, 64)
     }
 
     /// Create a zeroed, shareable slab of at least `len` bytes on a fresh
@@ -688,10 +689,10 @@ impl Slab {
     /// [`HUGE_PAGE_LEN`] when huge pages are requested — the huge
     /// quantum is kept even when the hugetlb pool is empty and the THP
     /// fallback is taken, so the recorded length invariant does not
-    /// depend on which path succeeded. The effective placement is
-    /// recorded on the slab (and later in the superblock).
+    /// depend on which path succeeded. Returns the effective placement
+    /// alongside, for the superblock.
     #[cfg(target_os = "linux")]
-    pub fn shm(len: usize, placement: SlabPlacement) -> Result<Self, SlabError> {
+    pub fn shm(len: usize, placement: SlabPlacement) -> Result<(Self, PlacementInfo), SlabError> {
         let (fd, base, rounded, pages) = match placement.pages {
             PagePolicy::Huge => {
                 let rounded = round_up(len, HUGE_PAGE_LEN)?;
@@ -727,12 +728,10 @@ impl Slab {
             PageMode::Base => page_len(),
             _ => HUGE_PAGE_LEN,
         };
-        Ok(Self {
-            base,
-            len: rounded,
-            kind: SlabKind::Shm { fd },
-            placement: PlacementInfo { quantum, pages, nodes },
-        })
+        Ok((
+            Self { base, len: rounded, kind: SlabKind::Shm { fd } },
+            PlacementInfo { quantum, pages, nodes },
+        ))
     }
 
     /// Map an existing slab fd (shared) without validating its contents —
@@ -773,15 +772,18 @@ impl Slab {
         }
         let fd = std::os::fd::OwnedFd::from(file);
         let base = map_shared(&fd, len)?;
-        // An attacher inherits whatever placement the creator recorded;
-        // the real info is read from the validated superblock (this
-        // field is a placeholder until then).
-        Ok(Self { base, len, kind: SlabKind::Shm { fd }, placement: PlacementInfo::heap() })
+        // An attacher inherits whatever placement the creator recorded
+        // in the superblock.
+        Ok(Self { base, len, kind: SlabKind::Shm { fd } })
     }
 
-    /// The effective placement of this mapping (request + fallbacks).
-    pub fn placement(&self) -> PlacementInfo {
-        self.placement
+    /// The backend this slab lives on.
+    pub fn backend(&self) -> SlabBackend {
+        match self.kind {
+            SlabKind::Heap => SlabBackend::Heap,
+            #[cfg(target_os = "linux")]
+            SlabKind::Shm { .. } => SlabBackend::Shm,
+        }
     }
 
     /// The slab's base address in this process. Valid for `len()` bytes.
@@ -810,7 +812,7 @@ impl Slab {
     pub fn fd(&self) -> Option<std::os::fd::BorrowedFd<'_>> {
         use std::os::fd::AsFd;
         match &self.kind {
-            SlabKind::Heap(_) => None,
+            SlabKind::Heap => None,
             SlabKind::Shm { fd } => Some(fd.as_fd()),
         }
     }
@@ -819,9 +821,10 @@ impl Slab {
 impl Drop for Slab {
     fn drop(&mut self) {
         match &self.kind {
-            SlabKind::Heap(layout) => {
+            SlabKind::Heap => {
+                let layout = Self::heap_layout(self.len).expect("checked in `heap`");
                 // SAFETY: allocated with exactly this layout in `heap`.
-                unsafe { std::alloc::dealloc(self.base.as_ptr(), *layout) };
+                unsafe { std::alloc::dealloc(self.base.as_ptr(), layout) };
             }
             #[cfg(target_os = "linux")]
             SlabKind::Shm { .. } => {
@@ -1229,7 +1232,7 @@ mod tests {
             slab.superblock().validate(l.total),
             Err(SlabError::BadMagic { found: 0 })
         ));
-        slab.superblock().initialize(&l, slab.placement());
+        slab.superblock().initialize(&l, PlacementInfo::heap());
         let read_back = slab.superblock().validate(l.total).unwrap();
         assert_eq!(read_back, l);
         assert_eq!(slab.superblock().placement_info(), PlacementInfo::heap());
@@ -1242,7 +1245,7 @@ mod tests {
     fn validate_rejects_wrong_length() {
         let l = SlabLayout::compute(geom()).unwrap();
         let slab = Slab::heap(l.total).unwrap();
-        slab.superblock().initialize(&l, slab.placement());
+        slab.superblock().initialize(&l, PlacementInfo::heap());
         match slab.superblock().validate(l.total - 64) {
             Err(SlabError::SizeMismatch { expected, mapped }) => {
                 assert_eq!(expected, l.total);
@@ -1278,7 +1281,7 @@ mod tests {
     fn recovery_token_claims_releases_and_steals_from_the_dead() {
         let l = SlabLayout::compute(geom()).unwrap();
         let slab = Slab::heap(l.total).unwrap();
-        slab.superblock().initialize(&l, slab.placement());
+        slab.superblock().initialize(&l, PlacementInfo::heap());
         let sb = slab.superblock();
         assert_eq!(sb.recovery_claimant(), 0);
         // First claim wins; re-claim by the same pid is idempotent.
@@ -1301,8 +1304,8 @@ mod tests {
     #[test]
     fn shm_slab_roundtrips_through_attach() {
         let l = SlabLayout::compute(geom()).unwrap();
-        let slab = Slab::shm(l.total, SlabPlacement::default()).unwrap();
-        slab.superblock().initialize(&l, slab.placement());
+        let (slab, info) = Slab::shm(l.total, SlabPlacement::default()).unwrap();
+        slab.superblock().initialize(&l, info);
         // Scribble a recognizable byte pattern into the header region.
         // SAFETY: we own the only view; offsets are in-bounds.
         unsafe { slab.base().add(l.hdr_off).write(0xAB) };
@@ -1310,7 +1313,7 @@ mod tests {
         assert_eq!(other.len(), slab.len());
         assert_ne!(other.base(), slab.base(), "second mapping must relocate");
         assert_eq!(other.superblock().validate(other.len()).unwrap(), l);
-        assert_eq!(other.superblock().placement_info(), slab.placement());
+        assert_eq!(other.superblock().placement_info(), info);
         // Same physical bytes through the other base address.
         // SAFETY: in-bounds read of the attached mapping.
         assert_eq!(unsafe { other.base().add(l.hdr_off).read() }, 0xAB);
@@ -1323,8 +1326,7 @@ mod tests {
     #[test]
     fn shm_lengths_are_explicitly_page_rounded() {
         let l = SlabLayout::compute(geom()).unwrap();
-        let slab = Slab::shm(l.total, SlabPlacement::default()).unwrap();
-        let info = slab.placement();
+        let (slab, info) = Slab::shm(l.total, SlabPlacement::default()).unwrap();
         assert!(info.quantum >= 4096 && info.quantum.is_power_of_two());
         assert_eq!(slab.len() % info.quantum, 0, "mapping length not quantum-rounded");
         assert_eq!(slab.len(), round_up(l.total, info.quantum).unwrap());
@@ -1356,8 +1358,7 @@ mod tests {
     fn huge_request_falls_back_without_changing_semantics() {
         let l = SlabLayout::compute(geom()).unwrap();
         let placement = SlabPlacement { pages: PagePolicy::Huge, nodes: NodePolicy::Bind(0) };
-        let slab = Slab::shm(l.total, placement).unwrap();
-        let info = slab.placement();
+        let (slab, info) = Slab::shm(l.total, placement).unwrap();
         assert_eq!(info.quantum, HUGE_PAGE_LEN, "huge quantum survives any fallback");
         assert_eq!(slab.len(), round_up(l.total, HUGE_PAGE_LEN).unwrap());
         assert!(
@@ -1383,23 +1384,23 @@ mod tests {
     #[test]
     fn node_policy_degrades_honestly() {
         let l = SlabLayout::compute(geom()).unwrap();
-        let slab = Slab::shm(
+        let (_slab, info) = Slab::shm(
             l.total,
             SlabPlacement { pages: PagePolicy::Base, nodes: NodePolicy::Interleave },
         )
         .unwrap();
         let nodes = crate::topology::Topology::system().node_count();
-        match slab.placement().nodes {
+        match info.nodes {
             NodePolicy::Interleave => assert!(nodes > 1, "interleave must not stick on 1 node"),
             NodePolicy::FirstTouch => {} // the honest single-node outcome
             other => panic!("unexpected effective policy {other:?}"),
         }
-        let bound = Slab::shm(
+        let (_bound, info) = Slab::shm(
             l.total,
             SlabPlacement { pages: PagePolicy::Base, nodes: NodePolicy::Bind(9999) },
         )
         .unwrap();
-        assert_eq!(bound.placement().nodes, NodePolicy::FirstTouch);
+        assert_eq!(info.nodes, NodePolicy::FirstTouch);
     }
 
     #[test]

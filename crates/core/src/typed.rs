@@ -12,9 +12,11 @@ use std::fmt;
 use std::ops::Deref;
 use std::sync::Arc;
 
+use register_common::metrics::{MetricsSnapshot, OpMetrics, Tally};
+
 use crate::errors::HandleError;
 use crate::raw::{
-    guard_created_on, guard_drop_on, PublishGuard, RawArc, RawOptions, RawReader, RawWriter,
+    guard_drop_on, read_acquire_on, PublishGuard, RawArc, RawOptions, RawReader, RawWriter,
 };
 
 /// A value paired with the publication version it was read at.
@@ -37,6 +39,8 @@ pub struct Versioned<V> {
 pub struct TypedArc<T> {
     raw: RawArc,
     slots: Box<[UnsafeCell<Option<T>>]>,
+    /// Totals folded in by dropped handles.
+    metrics: OpMetrics,
 }
 
 // SAFETY: slot access is serialized by the RawArc protocol (exclusive for
@@ -64,19 +68,19 @@ impl<T: Send + Sync> TypedArc<T> {
             (0..n_slots).map(|_| UnsafeCell::new(None)).collect();
         // Algorithm 1: publish the initial value in slot 0 (not shared yet).
         *slots[0].get_mut() = Some(initial);
-        Arc::new(Self { raw, slots: slots.into_boxed_slice() })
+        Arc::new(Self { raw, slots: slots.into_boxed_slice(), metrics: OpMetrics::new() })
     }
 
     /// Claim the unique writer handle.
     pub fn writer(self: &Arc<Self>) -> Result<TypedWriter<T>, HandleError> {
         let wr = self.raw.writer_claim()?;
-        Ok(TypedWriter { reg: Arc::clone(self), wr: Some(wr) })
+        Ok(TypedWriter { reg: Arc::clone(self), wr: Some(wr), tally: Tally::default() })
     }
 
     /// Register a reader handle.
     pub fn reader(self: &Arc<Self>) -> Result<TypedReader<T>, HandleError> {
         let rd = self.raw.reader_join()?;
-        Ok(TypedReader { reg: Arc::clone(self), rd: Some(rd) })
+        Ok(TypedReader { reg: Arc::clone(self), rd: Some(rd), tally: Tally::default() })
     }
 
     /// Reader cap `N`.
@@ -89,6 +93,12 @@ impl<T: Send + Sync> TypedArc<T> {
     #[inline]
     pub fn published_version(&self) -> u64 {
         self.raw.published_version()
+    }
+
+    /// Operation metrics of every handle dropped so far (same contract
+    /// as [`crate::ArcRegister::metrics`]).
+    pub fn metrics(&self) -> MetricsSnapshot {
+        self.metrics.snapshot()
     }
 
     /// The protocol core (for the watch layer in [`crate::watch`]).
@@ -108,6 +118,7 @@ impl<T> fmt::Debug for TypedArc<T> {
 pub struct TypedWriter<T: Send + Sync> {
     reg: Arc<TypedArc<T>>,
     wr: Option<RawWriter>,
+    tally: Tally,
 }
 
 impl<T: Send + Sync> TypedWriter<T> {
@@ -120,7 +131,7 @@ impl<T: Send + Sync> TypedWriter<T> {
         let wr = self.wr.as_mut().expect("writer state present until drop");
         // The publication guard repairs any unwind between W1 and the end
         // of publish (injected protocol-point panics; DESIGN.md §3.13).
-        let guard = PublishGuard::select(&self.reg.raw, wr);
+        let guard = PublishGuard::select(&self.reg.raw, wr, &mut self.tally);
         let slot = guard.slot();
         // SAFETY: exclusive slot access between select and publish.
         let displaced = unsafe { (*self.reg.slots[slot].get()).replace(value) };
@@ -134,6 +145,7 @@ impl<T: Send + Sync> Drop for TypedWriter<T> {
         if let Some(wr) = self.wr.take() {
             self.reg.raw.writer_release(wr);
         }
+        self.reg.metrics.fold(&self.tally);
     }
 }
 
@@ -141,6 +153,7 @@ impl<T: Send + Sync> Drop for TypedWriter<T> {
 pub struct TypedReader<T: Send + Sync> {
     reg: Arc<TypedArc<T>>,
     rd: Option<RawReader>,
+    tally: Tally,
 }
 
 impl<T: Send + Sync> TypedReader<T> {
@@ -148,15 +161,7 @@ impl<T: Send + Sync> TypedReader<T> {
     /// handle's next `read` (or drop).
     #[inline]
     pub fn read(&mut self) -> &T {
-        let rd = self.rd.as_mut().expect("reader state present until drop");
-        let out = self.reg.raw.read_acquire(rd);
-        // SAFETY: the slot is pinned for this handle until the next
-        // read_acquire/leave, both requiring &mut self; the slot holds Some
-        // because every published slot was filled by the writer (or by
-        // construction for slot 0).
-        unsafe {
-            (*self.reg.slots[out.slot].get()).as_ref().expect("published slot always holds a value")
-        }
+        self.read_versioned().value
     }
 
     /// Read the most recent value together with its publication version.
@@ -164,9 +169,11 @@ impl<T: Send + Sync> TypedReader<T> {
     #[inline]
     pub fn read_versioned(&mut self) -> Versioned<&T> {
         let rd = self.rd.as_mut().expect("reader state present until drop");
-        let out = self.reg.raw.read_acquire(rd);
-        // SAFETY: identical to `read` — the slot is pinned until the next
-        // read_acquire/leave, both requiring &mut self.
+        let out = read_acquire_on(&self.reg.raw, rd, &mut self.tally);
+        // SAFETY: the slot is pinned for this handle until the next
+        // read_acquire/leave, both requiring &mut self; the slot holds Some
+        // because every published slot was filled by the writer (or by
+        // construction for slot 0).
         let value = unsafe {
             (*self.reg.slots[out.slot].get()).as_ref().expect("published slot always holds a value")
         };
@@ -185,15 +192,16 @@ impl<T: Send + Sync> TypedReader<T> {
     pub fn read_ref(&mut self) -> TypedReadGuard<'_, T> {
         let rd = self.rd.as_mut().expect("reader state present until drop");
         let reg: &TypedArc<T> = &self.reg;
-        let out = reg.raw.read_acquire(rd);
-        guard_created_on(&reg.raw);
-        // SAFETY: as in `read` — the slot is pinned at least for the
+        let out = read_acquire_on(&reg.raw, rd, &mut self.tally);
+        self.tally.guard_reads += 1;
+        // SAFETY: as in `read_versioned` — the slot is pinned at least for the
         // guard's lifetime (the drop probe only releases, never
         // re-acquires), and `rd` stays mutably borrowed throughout.
         let value = unsafe {
             (*reg.slots[out.slot].get()).as_ref().expect("published slot always holds a value")
         };
-        TypedReadGuard { value, version: out.version, fast: out.fast, rd, raw: &reg.raw }
+        let tally = &mut self.tally;
+        TypedReadGuard { value, version: out.version, fast: out.fast, rd, tally, raw: &reg.raw }
     }
 
     /// Clone the current value out.
@@ -215,6 +223,7 @@ impl<T: Send + Sync> Drop for TypedReader<T> {
         if let Some(rd) = self.rd.take() {
             self.reg.raw.reader_leave(rd);
         }
+        self.reg.metrics.fold(&self.tally);
     }
 }
 
@@ -231,6 +240,8 @@ pub struct TypedReadGuard<'a, T: Send + Sync> {
     /// Mutably borrowed so drop can release/keep the pin and no other
     /// read of the same handle can start while the guard lives.
     rd: &'a mut RawReader,
+    /// The owning handle's tally, which counts the drop.
+    tally: &'a mut MetricsSnapshot,
     raw: &'a RawArc,
 }
 
@@ -257,7 +268,7 @@ impl<T: Send + Sync> Deref for TypedReadGuard<'_, T> {
 
 impl<T: Send + Sync> Drop for TypedReadGuard<'_, T> {
     fn drop(&mut self) {
-        guard_drop_on(self.raw, self.rd);
+        guard_drop_on(self.raw, self.rd, self.tally);
     }
 }
 

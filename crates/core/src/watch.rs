@@ -302,6 +302,7 @@ mod stream {
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::Barrier;
 
     #[test]
     fn wait_for_update_sees_new_value() {
@@ -348,16 +349,22 @@ mod tests {
     fn wake_never_delivers_the_old_value() {
         // The bump-after-W2 contract: a woken watcher's read is always at
         // least the publication that woke it.
+        const WRITES: u64 = 2000;
         let reg = ArcRegister::builder(4, 16).build().unwrap();
-        let stop = Arc::new(AtomicBool::new(false));
+        // Start handshake: the writer begins only once both watchers run.
+        let start = Arc::new(Barrier::new(3));
         let mut watchers = Vec::new();
         for _ in 0..2 {
             let mut watch = reg.watch_reader().unwrap();
-            let stop = Arc::clone(&stop);
+            let start = Arc::clone(&start);
             watchers.push(std::thread::spawn(move || {
+                start.wait();
                 let mut last = 0;
                 let mut wakes = 0u64;
-                while !stop.load(Ordering::SeqCst) {
+                // Exit on the final publication, not on a stop flag: on a
+                // busy or single core the writer may finish its whole run
+                // before this thread is scheduled again.
+                while last < WRITES {
                     match watch.wait_for_update_timeout(last, Duration::from_millis(50)) {
                         Some(snap) => {
                             assert!(
@@ -375,13 +382,13 @@ mod tests {
             }));
         }
         let mut w = reg.writer().unwrap();
-        for i in 0..2000u64 {
+        start.wait();
+        for i in 0..WRITES {
             w.write(&i.to_le_bytes());
         }
-        stop.store(true, Ordering::SeqCst);
-        w.write(b"final"); // release any last parked watcher
-        let wakes: u64 = watchers.into_iter().map(|h| h.join().unwrap()).sum();
-        assert!(wakes > 0, "watchers must have observed updates");
+        for h in watchers {
+            assert!(h.join().unwrap() > 0, "every watcher must have observed updates");
+        }
     }
 
     #[test]
@@ -410,6 +417,9 @@ mod tests {
         }
 
         let reg = ArcRegister::builder(2, 16).initial(b"v0").build().unwrap();
+        // Each write waits until the stream has yielded the previous one,
+        // so no two publications coalesce however late the streamer runs.
+        let (tx, rx) = std::sync::mpsc::channel();
         let streamer = {
             let reg = Arc::clone(&reg);
             std::thread::spawn(move || {
@@ -419,18 +429,20 @@ mod tests {
                 let mut yielded = Vec::new();
                 while yielded.len() < 3 {
                     match stream.poll_next(&mut cx) {
-                        std::task::Poll::Ready(v) => yielded.push(v),
+                        std::task::Poll::Ready(v) => {
+                            yielded.push(v);
+                            tx.send(v).unwrap();
+                        }
                         std::task::Poll::Pending => std::thread::park(),
                     }
                 }
                 yielded
             })
         };
-        std::thread::sleep(Duration::from_millis(10));
         let mut w = reg.writer().unwrap();
         for i in 1..=3u64 {
             w.write(&i.to_le_bytes());
-            std::thread::sleep(Duration::from_millis(5));
+            assert_eq!(rx.recv().unwrap(), i);
         }
         let yielded = streamer.join().unwrap();
         assert_eq!(yielded.len(), 3);

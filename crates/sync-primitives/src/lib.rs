@@ -9,8 +9,6 @@
 //!   used by the lock-based register baseline;
 //! * [`seqlock::SeqCounter`] — the version-counter core of a sequence lock,
 //!   used by the seqlock register ablation (optimistic lock-free reads);
-//! * [`ticket::TicketLock`] — a fair FIFO mutex, used where fairness
-//!   matters more than raw speed;
 //! * [`backoff::Backoff`] — bounded exponential backoff for all spin loops;
 //! * [`event::WaitSet`] — a lost-wakeup-free wait/notify edge (parked
 //!   threads + async wakers), the blocking substrate of the register watch
@@ -29,10 +27,8 @@ pub mod backoff;
 pub mod event;
 pub mod rwlock;
 pub mod seqlock;
-pub mod ticket;
 
 pub use backoff::Backoff;
 pub use event::WaitSet;
 pub use rwlock::{ReadGuard, SpinRwLock, WriteGuard};
 pub use seqlock::SeqCounter;
-pub use ticket::TicketLock;

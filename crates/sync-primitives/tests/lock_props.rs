@@ -4,7 +4,7 @@
 //! tests; these pin the sequential contracts exhaustively).
 
 use proptest::prelude::*;
-use sync_primitives::{SeqCounter, SpinRwLock, TicketLock};
+use sync_primitives::{SeqCounter, SpinRwLock};
 
 #[derive(Debug, Clone, Copy)]
 enum RwOp {
@@ -75,16 +75,5 @@ proptest! {
         prop_assert_eq!(c.version(), writes * 2);
         let b = c.read_begin();
         prop_assert!(c.read_validate(b), "quiescent read must validate");
-    }
-
-    #[test]
-    fn ticket_lock_fifo_single_thread(locks in 1..100usize) {
-        let l = TicketLock::new(0u64);
-        for _ in 0..locks {
-            let mut g = l.lock();
-            *g += 1;
-        }
-        prop_assert_eq!(*l.lock(), locks as u64);
-        prop_assert_eq!(l.queue_len(), 0);
     }
 }
