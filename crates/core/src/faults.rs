@@ -203,9 +203,9 @@ fn splitmix64(state: &mut u64) -> u64 {
 
 /// The one retry loop for transient failures: bounded attempts,
 /// exponential backoff capped at `max_delay`, deterministic ±25% jitter
-/// hashed from `(jitter_seed, attempt)`. Shared by the supervisor's
-/// auto-recovery retries and the transient-`errno` attach paths — the
-/// plane has exactly one backoff shape, not one per subsystem.
+/// hashed from `attempt`. Shared by the supervisor's auto-recovery
+/// retries and the transient-`errno` attach paths — the plane has
+/// exactly one backoff shape, not one per subsystem.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts, including the first (`>= 1`; `1` means no retry).
@@ -214,15 +214,16 @@ pub struct RetryPolicy {
     pub base_delay: Duration,
     /// Ceiling the doubling saturates at.
     pub max_delay: Duration,
-    /// Seed of the deterministic jitter stream. Two policies with equal
-    /// fields produce identical delay sequences — replayable by design.
-    pub jitter_seed: u64,
 }
 
+/// Seed of the deterministic jitter stream: two policies with equal
+/// fields produce identical delay sequences — replayable by design.
+const JITTER_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
 impl RetryPolicy {
-    /// A policy with the given bounds and the default jitter stream.
+    /// A policy with the given bounds.
     pub const fn new(max_attempts: u32, base_delay: Duration, max_delay: Duration) -> Self {
-        RetryPolicy { max_attempts, base_delay, max_delay, jitter_seed: 0x9E37_79B9_7F4A_7C15 }
+        RetryPolicy { max_attempts, base_delay, max_delay }
     }
 
     /// The policy for transient syscall errnos (`EINTR`/`EAGAIN`) on
@@ -241,7 +242,7 @@ impl RetryPolicy {
         let retries = attempt.saturating_sub(2).min(20);
         let exp = self.base_delay.saturating_mul(1u32 << retries);
         let capped = exp.min(self.max_delay);
-        let mut state = self.jitter_seed ^ u64::from(attempt);
+        let mut state = JITTER_SEED ^ u64::from(attempt);
         let frac = splitmix64(&mut state) >> 40; // 24 random bits
         let span = capped / 4;
         let jitter = Duration::from_nanos((span.as_nanos() as u64).saturating_mul(frac) >> 24);

@@ -20,7 +20,7 @@
 //! slots      : [PackedSlot; K * n_slots]    one 64 B line per slot
 //! versions   : [AtomicU64; K * n_slots]     slot publication stamps
 //! pins       : [AtomicU64; K * max_readers] reader pin registry (§3.9;
-//!                                           shm slabs — heap opts in)
+//!                                           shm slabs only)
 //! lease-ext  : [AtomicU64; K * 4]           birth token, heartbeat,
 //!                                           health, last-good (§3.10)
 //! arena      : [u8; K * n_slots * capacity] only when capacity > INLINE_CAP
@@ -105,7 +105,7 @@ use crate::recovery::{self, RecoveryReport};
 use crate::register::{GuardBackend, ReadGuard, Snapshot, INLINE_CAP};
 use crate::shm::{
     pid_alive, PlacementInfo, Slab, SlabBackend, SlabError, SlabGeometry, SlabLayout,
-    SlabPlacement, FLAG_FAST_PATH, FLAG_HINT, FLAG_INLINE, FLAG_PINS, HDR_BYTES, SLOT_BYTES,
+    SlabPlacement, FLAG_PINS, HDR_BYTES, SLOT_BYTES,
 };
 
 pub mod layout {
@@ -470,7 +470,8 @@ impl ArcCells for GroupCells<'_> {
     }
     #[inline]
     fn opts(&self) -> RawOptions {
-        self.g.opts()
+        // Slabs have one configuration: hint and fast path always on.
+        RawOptions::default()
     }
 }
 
@@ -563,12 +564,8 @@ pub struct GroupBuilder {
     registers: usize,
     max_readers: u32,
     capacity: usize,
-    n_slots: Option<usize>,
-    opts: RawOptions,
-    inline: bool,
     backend: SlabBackend,
     placement: SlabPlacement,
-    pin_registry: Option<bool>,
     initial: Vec<u8>,
 }
 
@@ -581,12 +578,8 @@ impl GroupBuilder {
             registers,
             max_readers,
             capacity,
-            n_slots: None,
-            opts: RawOptions::default(),
-            inline: true,
             backend: SlabBackend::Heap,
             placement: SlabPlacement::default(),
-            pin_registry: None,
             initial: Vec::new(),
         }
     }
@@ -594,31 +587,6 @@ impl GroupBuilder {
     /// Initial value of every register (Algorithm 1); empty by default.
     pub fn initial(mut self, value: &[u8]) -> Self {
         self.initial = value.to_vec();
-        self
-    }
-
-    /// Override the per-register slot count (default `max_readers + 2`).
-    /// Fewer slots forfeit writer wait-freedom — ablation use only.
-    pub fn slots(mut self, n_slots: usize) -> Self {
-        self.n_slots = Some(n_slots);
-        self
-    }
-
-    /// Enable/disable the §3.4 free-slot hint (default on).
-    pub fn hint(mut self, on: bool) -> Self {
-        self.opts.hint = on;
-        self
-    }
-
-    /// Enable/disable the R2 no-RMW read fast path (default on).
-    pub fn fast_path(mut self, on: bool) -> Self {
-        self.opts.fast_path = on;
-        self
-    }
-
-    /// Enable/disable inline storage of small payloads (default on).
-    pub fn inline(mut self, on: bool) -> Self {
-        self.inline = on;
         self
     }
 
@@ -642,22 +610,6 @@ impl GroupBuilder {
         self
     }
 
-    /// Whether the slab carries the §3.9 reader pin registry
-    /// (`K × max_readers` words attributing each standing pin to a pid so
-    /// recovery can sweep dead readers and take the at-W2 census).
-    ///
-    /// Defaults to the backend's need: **on** for [`SlabBackend::Shm`]
-    /// (the registry is what makes a crashed process's pins sweepable
-    /// from a surviving mapping), **off** for [`SlabBackend::Heap`] — an
-    /// in-process reader cannot die without taking the slab with it, so
-    /// the region would be dead weight. Opt in on a heap slab only when
-    /// driving [`ArcGroup::recover_with`] with a custom liveness oracle
-    /// (e.g. sweeping handles a supervisor decided to abandon).
-    pub fn pin_registry(mut self, on: bool) -> Self {
-        self.pin_registry = Some(on);
-        self
-    }
-
     /// Build the group (one slab allocation regardless of K).
     pub fn build(self) -> Result<Arc<ArcGroup>, BuildError> {
         if self.registers == 0 {
@@ -665,26 +617,15 @@ impl GroupBuilder {
         }
         let spec = RegisterSpec::new(self.max_readers as usize, self.capacity);
         validate_spec(spec, &self.initial, Some(MAX_READERS as usize))?;
-        let n_slots = self.n_slots.unwrap_or(self.max_readers as usize + 2);
-        if n_slots < 3 {
-            return Err(ConfigError::TooFewSlots { n_slots }.into());
-        }
+        let n_slots = self.max_readers as usize + 2;
         if n_slots >= CAND_HINT_BIT as usize {
             return Err(ConfigError::SlotIndexWidth { n_slots, bits: 31 }.into());
         }
-        let mut flags = 0;
-        if self.inline {
-            flags |= FLAG_INLINE;
-        }
-        if self.opts.hint {
-            flags |= FLAG_HINT;
-        }
-        if self.opts.fast_path {
-            flags |= FLAG_FAST_PATH;
-        }
-        if self.pin_registry.unwrap_or(matches!(self.backend, SlabBackend::Shm)) {
-            flags |= FLAG_PINS;
-        }
+        // Shared slabs carry the §3.9 pin registry: it is what makes a
+        // crashed process's pins sweepable from a surviving mapping. An
+        // in-process reader cannot die without taking a heap slab with
+        // it, so there the region would be dead weight.
+        let flags = if matches!(self.backend, SlabBackend::Shm) { FLAG_PINS } else { 0 };
         let geometry = SlabGeometry {
             registers: self.registers,
             n_slots,
@@ -771,7 +712,7 @@ impl ArcGroup {
         self.layout.geometry.registers
     }
 
-    /// Slots per register (normally `max_readers + 2`).
+    /// Slots per register (`max_readers + 2`).
     pub fn n_slots(&self) -> usize {
         self.layout.geometry.n_slots
     }
@@ -786,22 +727,9 @@ impl ArcGroup {
         self.layout.geometry.max_readers
     }
 
-    /// Whether payloads of at most [`INLINE_CAP`] bytes live in the slot
-    /// line (default true; see [`GroupBuilder::inline`]).
-    pub fn inline_enabled(&self) -> bool {
-        self.layout.geometry.flags & FLAG_INLINE != 0
-    }
-
     /// The storage backend this group's slab lives on.
     pub fn backend(&self) -> SlabBackend {
         self.slab.backend()
-    }
-
-    /// The protocol switches recorded in the slab's flags.
-    #[inline]
-    fn opts(&self) -> RawOptions {
-        let flags = self.layout.geometry.flags;
-        RawOptions { hint: flags & FLAG_HINT != 0, fast_path: flags & FLAG_FAST_PATH != 0 }
     }
 
     /// The slab's *effective* placement (§3.11): page rounding quantum,
@@ -909,9 +837,8 @@ impl ArcGroup {
     /// [`ArcGroup::recover`] with a custom liveness oracle.
     ///
     /// Reader-pin sweeps (and the at-W2 census) read the pin registry,
-    /// which shm slabs always carry; on a heap slab enable it with
-    /// [`GroupBuilder::pin_registry`] or sweeps find nothing. Writer
-    /// (lease/journal) recovery works on every layout.
+    /// which only shm slabs carry; on a heap slab they find nothing.
+    /// Writer (lease/journal) recovery works on every layout.
     pub fn recover_with(&self, mut alive: impl FnMut(u64) -> bool) -> RecoveryReport {
         let mut report = RecoveryReport::default();
         for k in 0..self.registers() {
@@ -1354,12 +1281,6 @@ impl ArcGroup {
         }
     }
 
-    /// Whether values of `len` bytes are stored in the slot line.
-    #[inline]
-    fn stored_inline(&self, len: usize) -> bool {
-        self.inline_enabled() && len <= INLINE_CAP
-    }
-
     /// Slice view of the value in `cell` (= slot `slot` of register `k`,
     /// already resolved by the caller's [`GroupCells`]).
     ///
@@ -1378,7 +1299,7 @@ impl ArcGroup {
         // fast path, and the scrubber quarantines the register besides.
         unsafe {
             let len = (*cell.len.get()).min(self.capacity());
-            if self.stored_inline(len) {
+            if len <= INLINE_CAP {
                 let inline: &[u8; INLINE_CAP] = &*cell.inline.get();
                 &inline[..len]
             } else {
@@ -1413,7 +1334,7 @@ impl ArcGroup {
         // SAFETY: exclusivity per the function contract; placement is the
         // same pure function of `len` that readers use.
         unsafe {
-            let dst: &mut [u8] = if self.stored_inline(len) {
+            let dst: &mut [u8] = if len <= INLINE_CAP {
                 let inline: &mut [u8; INLINE_CAP] = &mut *cell.inline.get();
                 &mut inline[..len]
             } else {
@@ -1464,7 +1385,7 @@ impl ArcGroup {
         // probe only releases, never re-acquires), and `rd` is mutably
         // borrowed for that lifetime, so no other acquire can intervene.
         let bytes = unsafe { self.slot_bytes_in(cells.slot(out.slot), k, out.slot) };
-        let inline = self.stored_inline(bytes.len());
+        let inline = bytes.len() <= INLINE_CAP;
         ReadGuard::assemble(bytes, out, inline, rd, tally, GuardBackend::Group { group: self, k })
     }
 
@@ -1615,7 +1536,7 @@ impl GroupReader {
         // pin lasts until the next acquire/leave, which require &mut self
         // and are excluded while the Snapshot's borrow is live.
         let bytes = unsafe { self.group.slot_bytes_in(cells.slot(out.slot), self.k, out.slot) };
-        let inline = self.group.stored_inline(bytes.len());
+        let inline = bytes.len() <= INLINE_CAP;
         Snapshot::assemble(bytes, out.slot, out.fast, inline, out.version)
     }
 
@@ -1792,7 +1713,7 @@ impl GroupReaderSet {
         // lasts until this set's next acquire on register k, which
         // requires &mut self.
         let bytes = unsafe { self.group.slot_bytes_in(cells.slot(out.slot), k, out.slot) };
-        let inline = self.group.stored_inline(bytes.len());
+        let inline = bytes.len() <= INLINE_CAP;
         Snapshot::assemble(bytes, out.slot, out.fast, inline, out.version)
     }
 
@@ -2092,18 +2013,6 @@ mod tests {
             assert_eq!(&*snap, &v[..], "len {len}");
             assert_eq!(snap.inline(), len <= INLINE_CAP, "placement at len {len}");
         }
-    }
-
-    #[test]
-    fn inline_disabled_routes_through_arena() {
-        let g = ArcGroup::builder(2, 1, 64).inline(false).build().unwrap();
-        assert!(!g.inline_enabled());
-        let mut set = g.writer_set().unwrap();
-        set.write(1, b"tiny");
-        let mut r = g.reader(1).unwrap();
-        let snap = r.read();
-        assert_eq!(&*snap, b"tiny");
-        assert!(!snap.inline());
     }
 
     #[test]
@@ -2437,7 +2346,6 @@ mod tests {
         assert_eq!(other.n_slots(), 4);
         assert_eq!(other.capacity(), 256);
         assert_eq!(other.max_readers(), 2);
-        assert!(other.inline_enabled());
         assert_eq!(other.backend(), SlabBackend::Shm);
 
         // Same registers through both mappings, both directions, inline
@@ -2506,11 +2414,13 @@ mod tests {
         assert_eq!(&*r.read(), b"after recovery");
     }
 
+    #[cfg(target_os = "linux")]
     #[test]
     fn forgotten_reader_pin_is_swept() {
-        // Oracle-driven sweeps on a heap slab need the opt-in registry
-        // (shm slabs carry it unconditionally).
-        let g = ArcGroup::builder(2, 2, 64).initial(b"init").pin_registry(true).build().unwrap();
+        // Oracle-driven sweeps need the pin registry, which only shared
+        // slabs carry.
+        let g =
+            ArcGroup::builder(2, 2, 64).initial(b"init").backend(SlabBackend::Shm).build().unwrap();
         let mut w = g.writer(0).unwrap();
         w.write(b"v1");
         let mut r = g.reader(0).unwrap();

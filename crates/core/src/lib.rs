@@ -55,7 +55,9 @@
 //!
 //! * [`register`] — [`ArcRegister`]: byte-payload register (the paper's).
 //! * [`group`] — [`ArcGroup`]: K registers (up to ~1M) from one slab,
-//!   with batched write/read paths for multi-register workloads.
+//!   with batched write/read paths for multi-register workloads. A slab
+//!   has one protocol configuration; the paper's ablation switches live
+//!   on [`ArcBuilder`] only.
 //! * [`typed`] — [`TypedArc`]: the same protocol carrying any `T`.
 //! * [`watch`] — versioned reads + change notification: park until the
 //!   register publishes past a version watermark ([`WatchReader`]),

@@ -1158,14 +1158,20 @@ mod tests {
             let mut r = reg.reader().unwrap();
             let stop = Arc::clone(&stop);
             handles.push(std::thread::spawn(move || {
+                // One unconditional read before honoring `stop`: on a
+                // single-core box the writer can finish and set `stop`
+                // before this thread is first scheduled.
                 let mut reads = 0u64;
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                loop {
                     let snap = r.read();
                     // All bytes of a snapshot must agree (writer writes
                     // constant-fill payloads).
                     let first = snap.first().copied().unwrap_or(0);
                     assert!(snap.iter().all(|&b| b == first), "torn read");
                     reads += 1;
+                    if stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        break;
+                    }
                 }
                 reads
             }));

@@ -69,7 +69,10 @@ pub const SLAB_MAGIC: u64 = u64::from_le_bytes(*b"ARCSLAB1");
 ///   the checksummed geometry, and shm mapping lengths are explicitly
 ///   rounded up to the page quantum (so `mapped_len` is validated
 ///   against the *rounded* total, not the raw layout total).
-pub const SLAB_LAYOUT_VERSION: u32 = 3;
+/// * v4 — slabs have one configuration: the inline, hint and fast-path
+///   flag bits are retired (small values are always inline, hint and
+///   fast path always on), leaving the pin-registry bit as the only flag.
+pub const SLAB_LAYOUT_VERSION: u32 = 4;
 
 /// Reserved bytes at offset 0 for the superblock (128 = two cache
 /// lines; the second line is the mutable epoch + reserve, so epoch bumps
@@ -239,21 +242,14 @@ fn round_up(len: usize, quantum: usize) -> Result<usize, SlabError> {
 // Geometry and offsets
 // ---------------------------------------------------------------------
 
-/// Geometry flag: payloads of at most [`INLINE_CAP`] bytes live in the
-/// slot line (no arena region for small capacities).
-pub(crate) const FLAG_INLINE: u32 = 1 << 0;
-/// Geometry flag: the §3.4 free-slot hint is enabled.
-pub(crate) const FLAG_HINT: u32 = 1 << 1;
-/// Geometry flag: the R2 no-RMW read fast path is enabled.
-pub(crate) const FLAG_FAST_PATH: u32 = 1 << 2;
 /// Geometry flag: the slab carries a reader pin registry (§3.9). Shared
 /// (shm) slabs always set it — the registry is what makes dead readers
-/// sweepable from another process. Heap slabs skip it by default: the
-/// registry attributes pins to *pids*, and an in-process reader cannot
-/// die without taking the slab with it, so the region would be stamped
-/// on every unit transition and read by no one.
+/// sweepable from another process. Heap slabs never do: the registry
+/// attributes pins to *pids*, and an in-process reader cannot die
+/// without taking the slab with it, so the region would be stamped on
+/// every unit transition and read by no one.
 pub(crate) const FLAG_PINS: u32 = 1 << 3;
-const FLAG_MASK: u32 = FLAG_INLINE | FLAG_HINT | FLAG_FAST_PATH | FLAG_PINS;
+const FLAG_MASK: u32 = FLAG_PINS;
 
 /// The build-time shape of a slab, as recorded in (and validated against)
 /// its superblock.
@@ -272,9 +268,10 @@ pub(crate) struct SlabGeometry {
 }
 
 impl SlabGeometry {
-    /// Whether the slab needs an arena region at all.
+    /// Whether the slab needs an arena region at all (values of at most
+    /// [`INLINE_CAP`] bytes live in the slot line).
     fn needs_arena(&self) -> bool {
-        !(self.flags & FLAG_INLINE != 0 && self.capacity <= INLINE_CAP)
+        self.capacity > INLINE_CAP
     }
 
     /// Whether the layout carries the reader pin registry ([`FLAG_PINS`]).
@@ -1132,13 +1129,7 @@ mod tests {
     use super::*;
 
     fn geom() -> SlabGeometry {
-        SlabGeometry {
-            registers: 4,
-            n_slots: 3,
-            capacity: 48,
-            max_readers: 1,
-            flags: FLAG_INLINE | FLAG_HINT | FLAG_FAST_PATH,
-        }
+        SlabGeometry { registers: 4, n_slots: 3, capacity: 48, max_readers: 1, flags: 0 }
     }
 
     #[test]
@@ -1168,9 +1159,7 @@ mod tests {
         assert_eq!(bare.arena_off, align_up_64(bare.ext_off + g.registers * EXT_BYTES).unwrap());
         // Flagged: K * max_readers entries of 8 bytes ahead of the lease
         // extension.
-        let flagged =
-            SlabLayout::compute(SlabGeometry { flags: geom().flags | FLAG_PINS, ..geom() })
-                .unwrap();
+        let flagged = SlabLayout::compute(SlabGeometry { flags: FLAG_PINS, ..geom() }).unwrap();
         let pin_bytes = g.registers * g.max_readers as usize * 8;
         assert_eq!(flagged.ext_off, flagged.pin_off + pin_bytes);
         assert_eq!(
@@ -1195,11 +1184,6 @@ mod tests {
         let l = SlabLayout::compute(g).unwrap();
         assert_eq!(l.arena_len, 4 * 3 * 256);
         assert_eq!(l.total, l.arena_off + l.arena_len);
-        // Inline disabled forces the arena even for small capacities.
-        let mut g2 = geom();
-        g2.flags &= !FLAG_INLINE;
-        let l2 = SlabLayout::compute(g2).unwrap();
-        assert_eq!(l2.arena_len, 4 * 3 * 48);
     }
 
     #[test]
@@ -1210,6 +1194,8 @@ mod tests {
             (SlabGeometry { capacity: 0, ..geom() }, "zero payload capacity"),
             (SlabGeometry { max_readers: 0, ..geom() }, "zero readers"),
             (SlabGeometry { flags: 0xFF00, ..geom() }, "unknown geometry flags"),
+            // The retired v3 inline / hint / fast-path bits.
+            (SlabGeometry { flags: 0b111, ..geom() }, "unknown geometry flags"),
         ] {
             match SlabLayout::compute(g) {
                 Err(SlabError::BadGeometry { reason: r }) => {

@@ -57,13 +57,8 @@ impl<T: Send + Sync> TypedArc<T> {
     /// Create a register for up to `max_readers` readers, initialized to
     /// `initial`.
     pub fn new(max_readers: u32, initial: T) -> Arc<Self> {
-        Self::with_options(max_readers, initial, RawOptions::default())
-    }
-
-    /// Create with explicit protocol options (ablation switches).
-    pub fn with_options(max_readers: u32, initial: T, opts: RawOptions) -> Arc<Self> {
         let n_slots = max_readers as usize + 2;
-        let raw = RawArc::new(max_readers, n_slots, opts);
+        let raw = RawArc::new(max_readers, n_slots, RawOptions::default());
         let mut slots: Vec<UnsafeCell<Option<T>>> =
             (0..n_slots).map(|_| UnsafeCell::new(None)).collect();
         // Algorithm 1: publish the initial value in slot 0 (not shared yet).
@@ -409,18 +404,26 @@ mod tests {
             let mut r = reg.reader().unwrap();
             let stop = Arc::clone(&stop);
             handles.push(std::thread::spawn(move || {
-                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
+                // One unconditional read before honoring `stop`: on a
+                // single-core box the writer can finish and set `stop`
+                // before this thread is first scheduled.
+                let mut reads = 0u64;
+                loop {
                     let (a, b) = *r.read();
                     assert_eq!(a, b, "typed snapshot must be consistent");
+                    reads += 1;
+                    if stop.load(std::sync::atomic::Ordering::Relaxed) {
+                        break;
+                    }
                 }
+                reads
             }));
         }
         for i in 0..50_000u64 {
             w.write((i, i));
         }
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        for h in handles {
-            h.join().unwrap();
-        }
+        let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        assert!(total > 0);
     }
 }
