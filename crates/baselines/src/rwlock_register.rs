@@ -227,20 +227,28 @@ mod tests {
             let mut r = reg.reader();
             let stop = Arc::clone(&stop);
             handles.push(std::thread::spawn(move || {
-                while !stop.load(Ordering::Relaxed) {
+                // One unconditional read before honoring `stop`: on a
+                // single-core box the writer can finish and set `stop`
+                // before this thread is first scheduled.
+                let mut reads = 0u64;
+                loop {
                     r.read_with_lock(|v| {
                         let first = v.first().copied().unwrap_or(0);
                         assert!(v.iter().all(|&b| b == first), "torn lock read");
                     });
+                    reads += 1;
+                    if stop.load(Ordering::Relaxed) {
+                        break;
+                    }
                 }
+                reads
             }));
         }
         for i in 0..30_000u32 {
             w.write(&[(i % 251) as u8; 64]);
         }
         stop.store(true, Ordering::Relaxed);
-        for h in handles {
-            h.join().unwrap();
-        }
+        let total: u64 = handles.into_iter().map(|h| h.join().unwrap()).sum();
+        assert!(total > 0);
     }
 }

@@ -101,10 +101,10 @@ use crate::raw::{
     ArcWriterMem, PublishGuard, RawOptions, RawReader, HEALTH_BAD_CURRENT, HEALTH_BAD_JOURNAL,
     HEALTH_BAD_LEN, HEALTH_OK, NO_HINT, STAGE_IDLE, STAGE_PUB_RAW,
 };
-use crate::recovery::{self, RecoveryReport};
+use crate::recovery::{self, PassLiveness, RecoveryReport};
 use crate::register::{GuardBackend, ReadGuard, Snapshot, INLINE_CAP};
 use crate::shm::{
-    pid_alive, PlacementInfo, Slab, SlabBackend, SlabError, SlabGeometry, SlabLayout,
+    pid_alive, self_birth, PlacementInfo, Slab, SlabBackend, SlabError, SlabGeometry, SlabLayout,
     SlabPlacement, FLAG_PINS, HDR_BYTES, SLOT_BYTES,
 };
 
@@ -780,14 +780,29 @@ impl ArcGroup {
     /// registers fail with [`HandleError::NeedsRecovery`] until
     /// [`ArcGroup::recover`] runs — a damaged plane cannot be opened
     /// silently.
+    ///
+    /// Costs O(registers) atomic loads plus O(distinct pids) syscalls:
+    /// one `kill(pid, 0)` per distinct lease or pin owner, and one
+    /// `/proc/<pid>/stat` read per distinct live lease holder (§3.10,
+    /// "Liveness is per pass").
     pub fn needs_recovery(&self) -> bool {
         self.needs_recovery_with(pid_alive)
     }
 
     /// [`ArcGroup::needs_recovery`] with a custom liveness oracle
-    /// (supervisors that track membership themselves; tests).
-    pub fn needs_recovery_with(&self, mut alive: impl FnMut(u64) -> bool) -> bool {
-        (0..self.registers()).any(|k| recovery::register_needs_recovery(&self.cells(k), &mut alive))
+    /// (supervisors that track membership themselves; tests). The oracle
+    /// is asked at most once per distinct pid per call.
+    pub fn needs_recovery_with(&self, alive: impl FnMut(u64) -> bool) -> bool {
+        self.needs_recovery_in(&mut PassLiveness::new(alive))
+    }
+
+    /// [`ArcGroup::needs_recovery`] within a caller's pass (the
+    /// supervisor shares one memo between its probes and this check).
+    pub(crate) fn needs_recovery_in(
+        &self,
+        live: &mut PassLiveness<impl FnMut(u64) -> bool>,
+    ) -> bool {
+        (0..self.registers()).any(|k| recovery::register_needs_recovery(&self.cells(k), live))
     }
 
     /// Alias for [`ArcGroup::needs_recovery`]: the plane is poisoned by a
@@ -814,6 +829,9 @@ impl ArcGroup {
     /// registers while this runs (live handles may exist, parked between
     /// operations). Surviving readers stay wait-free — recovery writes
     /// only words the dead writer would have written.
+    ///
+    /// Costs what [`ArcGroup::needs_recovery`] costs — O(registers) loads
+    /// plus O(distinct pids) syscalls — plus the repairs themselves.
     pub fn recover(&self) -> RecoveryReport {
         let me = crate::shm::self_pid();
         if self.slab.superblock().try_claim_recovery(me, pid_alive) {
@@ -834,15 +852,17 @@ impl ArcGroup {
         RecoveryReport { lost_arbitration: true, ..RecoveryReport::default() }
     }
 
-    /// [`ArcGroup::recover`] with a custom liveness oracle.
+    /// [`ArcGroup::recover`] with a custom liveness oracle, asked at most
+    /// once per distinct pid per call.
     ///
     /// Reader-pin sweeps (and the at-W2 census) read the pin registry,
     /// which only shm slabs carry; on a heap slab they find nothing.
     /// Writer (lease/journal) recovery works on every layout.
-    pub fn recover_with(&self, mut alive: impl FnMut(u64) -> bool) -> RecoveryReport {
+    pub fn recover_with(&self, alive: impl FnMut(u64) -> bool) -> RecoveryReport {
         let mut report = RecoveryReport::default();
+        let mut live = PassLiveness::new(alive);
         for k in 0..self.registers() {
-            recovery::recover_register(&self.cells(k), &mut alive, &mut report);
+            recovery::recover_register(&self.cells(k), &mut live, &mut report);
         }
         if report.repaired_anything() {
             self.slab.superblock().bump_epoch();
@@ -956,9 +976,26 @@ impl ArcGroup {
 
     /// Probe register `k`'s writer-liveness signals for the §3.10 stall
     /// watchdog: the lease, the heartbeat odometer, whether a publication
-    /// is in flight, and whether the lease belongs to a corpse. Wait-free;
-    /// classification (with history) is [`crate::supervise::classify`].
+    /// is in flight, and whether the lease belongs to a corpse.
+    /// Classification (with history) is [`crate::supervise::classify`].
+    ///
+    /// Up to four atomic loads, plus syscalls when a lease is held: one
+    /// `kill(pid, 0)` on the holder and, if it is alive and recorded a
+    /// birth token, one `/proc/<pid>/stat` read. Those are kernel calls
+    /// (microseconds, not wait-free steps), paid per call — probing every
+    /// register of a large live plane this way costs two syscalls per
+    /// register.
     pub fn writer_probe(&self, k: usize) -> WriterProbe {
+        self.writer_probe_in(k, &mut PassLiveness::new(pid_alive))
+    }
+
+    /// [`ArcGroup::writer_probe`] within a caller's pass (the supervisor
+    /// probes every register of a tick against one memo).
+    pub(crate) fn writer_probe_in(
+        &self,
+        k: usize,
+        live: &mut PassLiveness<impl FnMut(u64) -> bool>,
+    ) -> WriterProbe {
         self.check_index(k);
         let cells = self.cells(k);
         let lease = cells.lease_word().load(Ordering::Acquire);
@@ -966,7 +1003,7 @@ impl ArcGroup {
             lease,
             heartbeat: cells.heartbeat_word().load(Ordering::Acquire),
             mid_publication: wip_stage(cells.wip_word().load(Ordering::Acquire)) != STAGE_IDLE,
-            lease_dead: recovery::lease_dead(&cells, lease, &mut pid_alive),
+            lease_dead: recovery::lease_dead(&cells, lease, live),
         }
     }
 
@@ -1123,10 +1160,10 @@ impl ArcGroup {
         if cells.health_word().load(Ordering::Acquire) != HEALTH_OK {
             return Err(HandleError::Quarantined);
         }
-        if recovery::register_needs_recovery(&cells, &mut pid_alive) {
+        if recovery::register_needs_recovery(&cells, &mut PassLiveness::new(pid_alive)) {
             return Err(HandleError::NeedsRecovery);
         }
-        let last_slot = writer_claim_on(&cells)?;
+        let last_slot = writer_claim_on(&cells, self_birth())?;
         Ok(GroupWriter {
             group: Arc::clone(self),
             k,
@@ -1152,16 +1189,21 @@ impl ArcGroup {
     /// damaged by a dead process (run [`ArcGroup::recover`] first), or
     /// [`HandleError::Quarantined`] if a scrub pass benched any register
     /// (§3.10 — sticky for the life of the mapping).
+    ///
+    /// One pass: the birth token is read once for every claim, and each
+    /// distinct lease or pin owner is probed once (§3.10).
     pub fn writer_set(self: &Arc<Self>) -> Result<GroupWriterSet, HandleError> {
         let mut mems = Vec::with_capacity(self.registers());
+        let birth = self_birth();
+        let mut live = PassLiveness::new(pid_alive);
         for k in 0..self.registers() {
             let cells = self.cells(k);
             let claimed = if cells.health_word().load(Ordering::Acquire) != HEALTH_OK {
                 Err(HandleError::Quarantined)
-            } else if recovery::register_needs_recovery(&cells, &mut pid_alive) {
+            } else if recovery::register_needs_recovery(&cells, &mut live) {
                 Err(HandleError::NeedsRecovery)
             } else {
-                writer_claim_on(&cells)
+                writer_claim_on(&cells, birth)
             };
             match claimed {
                 Ok(last_slot) => mems.push(PackedWriterMem::new(last_slot, self.n_slots())),
@@ -2485,6 +2527,44 @@ mod tests {
         // claimant — no recovery (pid-only semantics preserved).
         g.fault_forge_lease(1, me, crate::shm::self_birth());
         assert!(!g.needs_recovery(), "a matching birth token means the same incarnation");
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn pass_memo_does_not_mask_a_corpse() {
+        // The per-pass liveness memo caches each pid's facts (alive,
+        // actual birth), never a register's verdict. On a plane this
+        // process holds, one register's lease names this pid with a stale
+        // birth and the last names a reaped child: exactly those two are
+        // corpses, whichever register the memo meets first.
+        let mut child = std::process::Command::new("true")
+            .spawn()
+            .or_else(|_| std::process::Command::new("sh").arg("-c").arg("exit 0").spawn())
+            .expect("spawn a short-lived child");
+        let dead_pid = child.id() as u64;
+        child.wait().unwrap();
+
+        let n = 8;
+        let g =
+            ArcGroup::builder(n, 2, 64).initial(b"init").backend(SlabBackend::Shm).build().unwrap();
+        let mut ws = g.writer_set().unwrap();
+        let mut rs = g.reader_set().unwrap();
+        let me = crate::shm::self_pid();
+        let stale = n / 2;
+        g.fault_forge_lease(stale, me, u64::MAX);
+        g.fault_forge_lease(n - 1, dead_pid, 0);
+
+        assert!(g.needs_recovery());
+        let report = g.recover();
+        assert_eq!(report.writers_recovered, 2, "only the two forged leases are corpses");
+        assert_eq!(report.pins_swept, 0, "this process's pins are live");
+        assert!(!g.needs_recovery());
+
+        for k in (0..n).filter(|&k| k != stale && k != n - 1) {
+            assert_eq!(g.writer_probe(k).lease, me, "register {k} must still be leased to us");
+            ws.write(k, format!("held {k}").as_bytes());
+            assert_eq!(&*rs.read(k), format!("held {k}").as_bytes());
+        }
     }
 
     #[test]

@@ -619,12 +619,13 @@ pub(crate) fn slot_free_on<C: ArcCells>(c: &C, slot: usize) -> bool {
 
 /// Claim the unique writer role, returning the slot of the current
 /// publication (the claimer's initial `last_slot`).
-pub(crate) fn writer_claim_on<C: ArcCells>(c: &C) -> Result<usize, HandleError> {
-    // Read the birth token (a /proc read) before claiming: a process
-    // killed between the claim and the lease stores below leaves a claim
-    // that no lease names and no recovery clears, so that window must
-    // stay a couple of stores wide.
-    let birth = self_birth();
+///
+/// `birth` is this process's [`self_birth`] token, read by the caller
+/// before the call (once per claim, or once for a whole set): a process
+/// killed between the claim and the lease stores below leaves a claim
+/// that no lease names and no recovery clears, so that window must stay
+/// a couple of stores wide — the `/proc` read cannot sit inside it.
+pub(crate) fn writer_claim_on<C: ArcCells>(c: &C, birth: u64) -> Result<usize, HandleError> {
     // Acquire: lock-style handoff — pairs with the Release store in
     // writer_release_on, ordering the previous writer's publishes (and
     // slot stores) before this claimer's reads of protocol state.
@@ -1607,7 +1608,7 @@ impl RawArc {
 
     /// Claim the unique writer handle.
     pub fn writer_claim(&self) -> Result<RawWriter, HandleError> {
-        let last_slot = writer_claim_on(self)?;
+        let last_slot = writer_claim_on(self, self_birth())?;
         Ok(RawWriter {
             last_slot,
             search_pos: (last_slot + 1) % self.meta.len(),

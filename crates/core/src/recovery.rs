@@ -47,7 +47,11 @@
 //!   incarnation no longer matches the recorded token is a corpse wearing
 //!   a recycled pid and counts as **dead**, so recovery is no longer
 //!   deferred indefinitely by reuse.
+//! * **Liveness is per pass.** A pass asks the kernel about each
+//!   distinct pid at most once (a pass-scoped memo), so a pid that dies
+//!   mid-pass reads as alive until the next pass.
 
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 
 use crate::raw::{
@@ -86,6 +90,68 @@ impl RecoveryReport {
     }
 }
 
+/// Process-identity facts for **one pass** over a plane (DESIGN.md §3.10,
+/// "Liveness is per pass"). Wraps the caller's `alive` oracle and
+/// [`process_birth`] and asks each at most once per distinct pid, so a
+/// pass over a million registers held by two processes costs a handful
+/// of syscalls, not two per register.
+///
+/// It caches each pid's *actual birth*, never a per-register verdict:
+/// every register still compares that birth against its own recorded
+/// token. Build one per pass and drop it with the pass — never keep one
+/// across passes or share one process-wide, because a forked child and a
+/// recycled pid must get fresh answers. Death is permanent, so a cached
+/// "dead" stays true; a pid dying mid-pass reads as alive until the next
+/// pass, as if the pass had started a moment earlier.
+pub(crate) struct PassLiveness<F> {
+    alive: F,
+    /// One entry per distinct pid met so far, in order of first sight.
+    facts: Vec<PidFacts>,
+    /// Pid → index into `facts`.
+    index: HashMap<u64, usize>,
+    /// Index of the last pid looked up: consecutive registers are mostly
+    /// held by the same process, so this skips the hash.
+    last: usize,
+}
+
+/// What one pass learned about one pid.
+struct PidFacts {
+    pid: u64,
+    alive: bool,
+    /// `None` until a lease first needs it (a `/proc` read).
+    birth: Option<u64>,
+}
+
+impl<F: FnMut(u64) -> bool> PassLiveness<F> {
+    pub(crate) fn new(alive: F) -> Self {
+        PassLiveness { alive, facts: Vec::new(), index: HashMap::new(), last: 0 }
+    }
+
+    fn facts(&mut self, pid: u64) -> &mut PidFacts {
+        if self.facts.get(self.last).is_none_or(|f| f.pid != pid) {
+            self.last = match self.index.get(&pid) {
+                Some(&i) => i,
+                None => {
+                    self.index.insert(pid, self.facts.len());
+                    self.facts.push(PidFacts { pid, alive: (self.alive)(pid), birth: None });
+                    self.facts.len() - 1
+                }
+            };
+        }
+        &mut self.facts[self.last]
+    }
+
+    /// The caller's oracle on `pid`, asked once per pass.
+    pub(crate) fn alive(&mut self, pid: u64) -> bool {
+        self.facts(pid).alive
+    }
+
+    /// [`process_birth`] of `pid`, read once per pass.
+    fn birth(&mut self, pid: u64) -> u64 {
+        *self.facts(pid).birth.get_or_insert_with(|| process_birth(pid))
+    }
+}
+
 /// Whether the writer lease of this register belongs to a corpse: the
 /// pid is dead, or the pid is alive but the recorded birth token names a
 /// *different incarnation* (pid reuse — lease v2, §3.10). Either side of
@@ -94,35 +160,35 @@ impl RecoveryReport {
 pub(crate) fn lease_dead<C: ArcCells>(
     c: &C,
     lease: u64,
-    alive: &mut impl FnMut(u64) -> bool,
+    live: &mut PassLiveness<impl FnMut(u64) -> bool>,
 ) -> bool {
     if lease == 0 {
         return false;
     }
-    if !alive(lease) {
+    if !live.alive(lease) {
         return true;
     }
     let recorded = c.birth_word().load(Ordering::Acquire);
     if recorded == 0 {
         return false;
     }
-    let actual = process_birth(lease);
+    let actual = live.birth(lease);
     actual != 0 && actual != recorded
 }
 
 /// Whether this register holds state only recovery may clear: a writer
-/// lease or a pin-registry entry owned by a process `alive` reports dead.
+/// lease or a pin-registry entry owned by a process `live` reports dead.
 pub(crate) fn register_needs_recovery<C: ArcCells>(
     c: &C,
-    alive: &mut impl FnMut(u64) -> bool,
+    live: &mut PassLiveness<impl FnMut(u64) -> bool>,
 ) -> bool {
     let lease = c.lease_word().load(Ordering::Acquire);
-    if lease_dead(c, lease, alive) {
+    if lease_dead(c, lease, live) {
         return true;
     }
     for i in 0..c.pin_entries() {
         let e = c.pin_entry(i).load(Ordering::Acquire);
-        if e != 0 && !alive(pin_owner(e)) {
+        if e != 0 && !live.alive(pin_owner(e)) {
             return true;
         }
     }
@@ -141,11 +207,11 @@ pub(crate) fn register_needs_recovery<C: ArcCells>(
 /// supervisor's job — exactly the regime the crash harness exercises.
 pub(crate) fn recover_register<C: ArcCells>(
     c: &C,
-    alive: &mut impl FnMut(u64) -> bool,
+    live: &mut PassLiveness<impl FnMut(u64) -> bool>,
     report: &mut RecoveryReport,
 ) {
     let lease = c.lease_word().load(Ordering::Acquire);
-    if lease_dead(c, lease, alive) {
+    if lease_dead(c, lease, live) {
         recover_dead_writer(c, report);
     }
     // Sweep AFTER any at-W2 census: the census counts every registry pin
@@ -154,7 +220,7 @@ pub(crate) fn recover_register<C: ArcCells>(
     // commute arithmetically, but census-then-sweep keeps "frozen count =
     // releases + standing pins" literally true at every instant between
     // them.)
-    sweep_dead_pins(c, alive, report);
+    sweep_dead_pins(c, live, report);
 }
 
 /// Classify a dead writer's journal and repair the register. The
@@ -187,12 +253,12 @@ fn recover_dead_writer<C: ArcCells>(c: &C, report: &mut RecoveryReport) {
 /// reuse. Clears the entry and retires the dead reader's join.
 fn sweep_dead_pins<C: ArcCells>(
     c: &C,
-    alive: &mut impl FnMut(u64) -> bool,
+    live: &mut PassLiveness<impl FnMut(u64) -> bool>,
     report: &mut RecoveryReport,
 ) {
     for i in 0..c.pin_entries() {
         let e = c.pin_entry(i).load(Ordering::Acquire);
-        if e == 0 || alive(pin_owner(e)) {
+        if e == 0 || live.alive(pin_owner(e)) {
             continue;
         }
         match pin_pinned_slot(e) {

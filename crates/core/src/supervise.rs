@@ -61,7 +61,8 @@ use sync_primitives::Backoff;
 
 use crate::faults::{self, FaultSite, RetryPolicy};
 use crate::group::{ArcGroup, ScrubReport, WriterProbe};
-use crate::recovery::RecoveryReport;
+use crate::recovery::{PassLiveness, RecoveryReport};
+use crate::shm::pid_alive;
 
 /// Liveness classification of one register's writer (§3.10).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -331,8 +332,11 @@ fn run(
     while !stop.load(Ordering::Relaxed) {
         let now = Instant::now();
         let mut corpses = false;
+        // One liveness memo per tick: each distinct pid costs its
+        // syscalls once per tick, not once per register (§3.10).
+        let mut live = PassLiveness::new(pid_alive);
         for (k, st) in watch.iter_mut().enumerate() {
-            let probe = group.writer_probe(k);
+            let probe = group.writer_probe_in(k, &mut live);
             if probe.heartbeat != st.heartbeat || !probe.mid_publication || probe.lease == 0 {
                 // Progress (or no publication in flight): reset the stall
                 // clock and close any open stall report.
@@ -367,7 +371,7 @@ fn run(
         // Dead writers probed above are one trigger; dead *reader pins*
         // (and anything a probe race missed) are caught by the plane-wide
         // check. Both funnel into the same arbitrated repair.
-        if corpses || group.needs_recovery() {
+        if corpses || group.needs_recovery_in(&mut live) {
             auto_recover(&group, &config, &mut on_event, stop);
         }
         if now.duration_since(last_scrub) >= config.scrub_interval {

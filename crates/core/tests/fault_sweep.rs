@@ -334,3 +334,54 @@ fn seeded_gauntlet_never_panics_or_leaks() {
     covered.dedup();
     assert_eq!(covered.len(), ALL_SITES.len(), "256 seeds must cover every fault site");
 }
+
+/// A 4,096-register shm plane, the size the `/proc` count tests use.
+#[cfg(target_os = "linux")]
+fn count_plane() -> std::sync::Arc<ArcGroup> {
+    ArcGroup::builder(4096, 2, 64)
+        .backend(arc_register::SlabBackend::Shm)
+        .initial(b"seed")
+        .build()
+        .expect("count plane")
+}
+
+/// `writer_set` reads the birth token once for the whole set, not once
+/// per register. Counted, not timed: the second `/proc` read would fire
+/// the armed schedule, so a still-armed schedule means at most one read.
+#[cfg(target_os = "linux")]
+#[test]
+fn writer_set_reads_proc_once_per_set() {
+    let _g = lock();
+    let group = count_plane();
+    faults::arm(FaultSite::ProcRead, 1, EIO);
+    let ws = group.writer_set().expect("writer_set on a clean plane");
+    let reads_at_most_one = faults::armed();
+    faults::disarm();
+    assert!(reads_at_most_one, "writer_set must read /proc once, not once per register");
+    let me = std::process::id() as u64;
+    for k in 0..group.registers() {
+        let probe = group.writer_probe(k);
+        assert_eq!(probe.lease, me, "register {k} must be leased to this process");
+        assert!(!probe.lease_dead, "register {k}: a live claimant's lease must not read as dead");
+    }
+    drop(ws);
+}
+
+/// `needs_recovery` on a held plane probes each distinct pid once per
+/// pass: every lease and pin names this process, so one `/proc` read.
+#[cfg(target_os = "linux")]
+#[test]
+fn needs_recovery_reads_proc_once_per_pid() {
+    let _g = lock();
+    let group = count_plane();
+    let ws = group.writer_set().expect("writer_set on a clean plane");
+    // Joining claims a pin-registry entry naming this pid on every register.
+    let rs = group.reader_set().expect("reader_set on a clean plane");
+    faults::arm(FaultSite::ProcRead, 1, EIO);
+    let damaged = group.needs_recovery();
+    let reads_at_most_one = faults::armed();
+    faults::disarm();
+    assert!(!damaged, "a plane held by a live process needs no recovery");
+    assert!(reads_at_most_one, "needs_recovery must read /proc once per pid, not per register");
+    drop((ws, rs));
+}
